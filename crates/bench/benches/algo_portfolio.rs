@@ -5,9 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mcm_core::portfolio::{solve, MatchingAlgo, PortfolioOptions, SelectorStats};
+use mcm_core::SolverPool;
 use mcm_gen::hard::{chain, crown, star};
 use mcm_gen::mesh::road_grid;
 use mcm_gen::rmat::{rmat, RmatParams};
+use mcm_sparse::Csc;
 use std::hint::black_box;
 
 fn bench_portfolio(c: &mut Criterion) {
@@ -23,19 +25,22 @@ fn bench_portfolio(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("algo_portfolio");
     group.sample_size(10);
-    for (name, t) in &inputs {
-        group.throughput(Throughput::Elements(t.len() as u64));
+    let inputs: Vec<_> = inputs.into_iter().map(|(name, t)| (name, t.to_csc())).collect();
+    let run =
+        |a: &Csc, opts: &PortfolioOptions| solve(&a.view(), None, &mut SolverPool::new(), opts);
+    for (name, a) in &inputs {
+        group.throughput(Throughput::Elements(a.nnz() as u64));
         for algo in MatchingAlgo::CONCRETE {
             let opts = PortfolioOptions { algo, threads: 4, ..PortfolioOptions::default() };
-            group.bench_with_input(BenchmarkId::new(algo.name(), name), t, |b, t| {
-                b.iter(|| black_box(solve(t, &opts)));
+            group.bench_with_input(BenchmarkId::new(algo.name(), name), a, |b, a| {
+                b.iter(|| black_box(run(a, &opts)));
             });
         }
         // The auto path: measurement + dispatch, the end-to-end cost a
         // caller actually pays for not choosing.
         let opts = PortfolioOptions { threads: 4, ..PortfolioOptions::default() };
-        group.bench_with_input(BenchmarkId::new("auto", name), t, |b, t| {
-            b.iter(|| black_box(solve(t, &opts)));
+        group.bench_with_input(BenchmarkId::new("auto", name), a, |b, a| {
+            b.iter(|| black_box(run(a, &opts)));
         });
     }
     group.finish();
@@ -43,10 +48,10 @@ fn bench_portfolio(c: &mut Criterion) {
     // Selector overhead alone: one O(nnz) pass; must stay negligible
     // against any engine above for `auto` to be a sane default.
     let mut group = c.benchmark_group("algo_selector");
-    for (name, t) in &inputs {
-        group.throughput(Throughput::Elements(t.len() as u64));
-        group.bench_with_input(BenchmarkId::new("measure", name), t, |b, t| {
-            b.iter(|| black_box(SelectorStats::measure(t).choose()));
+    for (name, a) in &inputs {
+        group.throughput(Throughput::Elements(a.nnz() as u64));
+        group.bench_with_input(BenchmarkId::new("measure", name), a, |b, a| {
+            b.iter(|| black_box(SelectorStats::measure(&a.view()).choose()));
         });
     }
     group.finish();

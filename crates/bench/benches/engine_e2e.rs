@@ -7,10 +7,9 @@
 //! on real cores (`mcmd --backend engine|shared`, DESIGN.md §12, §14).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mcm_bsp::{DistCtx, MachineConfig};
-use mcm_core::mcm::maximum_matching_shared;
+use mcm_bsp::{DistCtx, EngineComm, MachineConfig, SharedComm};
 use mcm_core::serial::hopcroft_karp;
-use mcm_core::{maximum_matching, maximum_matching_engine, McmOptions};
+use mcm_core::{maximum_matching_view, McmOptions};
 use mcm_gen::rmat::{rmat, RmatParams};
 use std::hint::black_box;
 
@@ -32,14 +31,17 @@ fn bench_engine_e2e(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("simulator", "g500_s12"), |b| {
         b.iter(|| {
             let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-            black_box(maximum_matching(&mut ctx, &t, &opts).matching.cardinality())
+            black_box(maximum_matching_view(&mut ctx, &csc.view(), &opts).matching.cardinality())
         })
     });
 
     for &(cores, p, threads) in &CORES {
         group.bench_function(BenchmarkId::new("engine", cores), |b| {
             b.iter(|| {
-                black_box(maximum_matching_engine(p, threads, &t, &opts).matching.cardinality())
+                let mut comm = EngineComm::new(p, threads);
+                black_box(
+                    maximum_matching_view(&mut comm, &csc.view(), &opts).matching.cardinality(),
+                )
             })
         });
     }
@@ -51,9 +53,9 @@ fn bench_engine_e2e(c: &mut Criterion) {
     for &(cores, p, threads) in &CORES {
         group.bench_function(BenchmarkId::new("shared", cores), |b| {
             b.iter(|| {
-                black_box(
-                    maximum_matching_shared(p, threads, &t, &shared_opts).matching.cardinality(),
-                )
+                let mut comm = SharedComm::new(p, threads);
+                let r = maximum_matching_view(&mut comm, &csc.view(), &shared_opts);
+                black_box(r.matching.cardinality())
             })
         });
     }

@@ -17,7 +17,8 @@
 //!    site-count side of the gate arithmetic too.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mcm_core::{maximum_matching_engine, McmOptions};
+use mcm_bsp::EngineComm;
+use mcm_core::{maximum_matching_view, McmOptions};
 use mcm_gen::rmat::{rmat, RmatParams};
 use std::hint::black_box;
 
@@ -26,16 +27,18 @@ const CORES: [(usize, usize, usize); 4] = [(1, 1, 1), (2, 1, 2), (4, 4, 1), (8, 
 
 fn bench_obs_overhead(c: &mut Criterion) {
     let t = rmat(RmatParams::g500(12), 7);
+    let a = t.to_csc();
     let opts = McmOptions::default();
+    let engine_run = |p: usize, threads: usize| {
+        maximum_matching_view(&mut EngineComm::new(p, threads), &a.view(), &opts)
+    };
     let mut group = c.benchmark_group("obs_overhead");
     group.throughput(Throughput::Elements(t.len() as u64));
 
     mcm_obs::enable_all(false);
     for &(cores, p, threads) in &CORES {
         group.bench_function(BenchmarkId::new("disabled", cores), |b| {
-            b.iter(|| {
-                black_box(maximum_matching_engine(p, threads, &t, &opts).matching.cardinality())
-            })
+            b.iter(|| black_box(engine_run(p, threads).matching.cardinality()))
         });
     }
 
@@ -43,7 +46,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("enabled", cores), |b| {
             b.iter(|| {
                 mcm_obs::enable_all(true);
-                let card = maximum_matching_engine(p, threads, &t, &opts).matching.cardinality();
+                let card = engine_run(p, threads).matching.cardinality();
                 mcm_obs::enable_all(false);
                 // Collection is part of the enabled price.
                 black_box(mcm_obs::take_trace().events.len());
@@ -70,7 +73,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     mcm_obs::enable_all(true);
     drop(mcm_obs::take_trace());
     let (_, p, threads) = CORES[3];
-    maximum_matching_engine(p, threads, &t, &opts);
+    engine_run(p, threads);
     let events = mcm_obs::take_trace().events.len() as u64;
     mcm_obs::enable_all(false);
     let mut vol = c.benchmark_group("events");

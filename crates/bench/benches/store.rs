@@ -8,8 +8,9 @@
 //! * `load` — `McsbFile::open` (mmap + header/colptr validation only);
 //! * `rss_delta` — resident-set growth across open + full view
 //!   construction, the number the format exists to keep small;
-//! * `solve` — `maximum_matching_shared_view` end-to-end on the borrowed
-//!   view, Berge-certified at the smallest scale.
+//! * `solve` — `maximum_matching_view` on the shared-memory backend,
+//!   end-to-end on the borrowed view, Berge-certified at the smallest
+//!   scale.
 //!
 //! Custom harness (not the criterion stand-in): the record carries RSS and
 //! file-size fields that the shared `BenchRecord` schema has no slots for.
@@ -17,6 +18,7 @@
 //! `15,18,20`; override with `MCM_STORE_SCALES=s1,s2,...` (CI uses a
 //! smaller list — see .github/workflows/ci.yml).
 
+use mcm_bsp::SharedComm;
 use mcm_core::verify::is_maximum_view;
 use mcm_core::McmOptions;
 use mcm_gen::RmatParams;
@@ -73,7 +75,8 @@ fn run_scale(scale: u32, dir: &std::path::Path) -> ScaleRecord {
 
     let opts = McmOptions::default();
     let t2 = Instant::now();
-    let res = mcm_core::mcm::maximum_matching_shared_view(4, mcm_par::max_threads(), &v, &opts);
+    let mut comm = SharedComm::new(4, mcm_par::max_threads());
+    let res = mcm_core::mcm::maximum_matching_view(&mut comm, &v, &opts);
     let solve_secs = t2.elapsed().as_secs_f64();
 
     std::fs::remove_file(&path).ok();
@@ -108,7 +111,8 @@ fn main() {
         w.finish(mcm_par::max_threads()).unwrap();
         let f = McsbFile::open(&path).unwrap();
         let v = f.view();
-        let res = mcm_core::mcm::maximum_matching_shared_view(4, 2, &v, &McmOptions::default());
+        let mut comm = SharedComm::new(4, 2);
+        let res = mcm_core::mcm::maximum_matching_view(&mut comm, &v, &McmOptions::default());
         assert!(is_maximum_view(&v, &res.matching), "Berge certificate failed");
         std::fs::remove_file(&path).ok();
         eprintln!("certified: scale {} matching is maximum (Berge)", smallest.min(12));

@@ -73,12 +73,8 @@ fn main() -> ExitCode {
     }
 
     // Solve from the borrowed view and certify maximality.
-    let res = mcm_core::mcm::maximum_matching_shared_view(
-        4,
-        mcm_par::max_threads(),
-        &v,
-        &McmOptions::default(),
-    );
+    let mut comm = mcm_bsp::SharedComm::new(4, mcm_par::max_threads());
+    let res = mcm_core::mcm::maximum_matching_view(&mut comm, &v, &McmOptions::default());
     if !is_maximum_view(&v, &res.matching) {
         eprintln!("store_smoke: FAIL: Berge certificate rejected the matching");
         return ExitCode::FAILURE;

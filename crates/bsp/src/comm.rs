@@ -45,17 +45,77 @@ use crate::sched::{FaultPlan, Schedule, SimWindow};
 use crate::timers::Kernel;
 use mcm_sparse::{DenseVec, SpVec, Vidx, NIL};
 
-/// Which execution backend a [`Communicator`] is.
+/// Which machine a solve runs on, with its shape — the one place a
+/// backend is chosen (CLI flags, daemon fallbacks and the algorithm
+/// portfolio all carry this value).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Cost-model simulator: local data routing + modeled time.
-    Simulator,
-    /// Thread-per-rank channel-mesh engine: real message passing.
-    Engine,
-    /// Shared-memory backend: one address space, collectives as shared-arena
-    /// exchanges, SpMSpV fused with the communication epoch
-    /// ([`crate::shared::SharedComm`]).
-    Shared,
+pub enum Backend {
+    /// Cost-model simulator ([`DistCtx`]) on a `grid × grid` process grid.
+    Sim {
+        /// Process-grid side (ranks = grid²).
+        grid: usize,
+        /// Modeled threads per rank.
+        threads: usize,
+    },
+    /// Thread-per-rank channel-mesh engine ([`EngineComm`]).
+    Engine {
+        /// Real ranks (perfect square).
+        p: usize,
+        /// Worker threads per rank.
+        threads: usize,
+    },
+    /// Fused shared-memory arena ([`crate::SharedComm`]) with
+    /// simulator-identical accounting.
+    Shared {
+        /// Logical ranks (perfect square).
+        p: usize,
+        /// Worker threads per rank.
+        threads: usize,
+    },
+}
+
+impl Default for Backend {
+    fn default() -> Self {
+        Backend::Sim { grid: 2, threads: 1 }
+    }
+}
+
+impl Backend {
+    /// Parses a `sim|engine|shared` backend name with its shape: `grid`
+    /// applies to `sim`, `ranks` to `engine`/`shared`. Rejects a zero
+    /// grid or thread count and a rank count that is not a positive
+    /// perfect square, so no invalid shape reaches a communicator
+    /// constructor.
+    pub fn parse(name: &str, grid: usize, ranks: usize, threads: usize) -> Result<Self, String> {
+        if threads == 0 {
+            return Err("--threads must be at least 1".into());
+        }
+        let square = |p: usize| {
+            let dim = (p as f64).sqrt().round() as usize;
+            if p == 0 || dim * dim != p {
+                Err(format!("--ranks must be a positive perfect square, got {p}"))
+            } else {
+                Ok(p)
+            }
+        };
+        match name {
+            "sim" if grid == 0 => Err("--grid must be at least 1".into()),
+            "sim" => Ok(Backend::Sim { grid, threads }),
+            "engine" => Ok(Backend::Engine { p: square(ranks)?, threads }),
+            "shared" => Ok(Backend::Shared { p: square(ranks)?, threads }),
+            other => Err(format!("bad --backend value: {other} (want sim|engine|shared)")),
+        }
+    }
+
+    /// Flat worker count of this shape, for the shared-memory engines
+    /// (Pothen–Fan, auction) that take threads directly: the engine
+    /// mesh's `p × threads`, otherwise the per-rank threads.
+    pub fn worker_threads(self) -> usize {
+        match self {
+            Backend::Engine { p, threads } => p * threads,
+            Backend::Sim { threads, .. } | Backend::Shared { threads, .. } => threads,
+        }
+    }
 }
 
 /// Reduction operator for [`Communicator::allreduce`].
@@ -216,9 +276,6 @@ pub(crate) fn interleave_tasks<W: RmaWin, T: RmaTask>(
 /// `words_per_elem` converts element counts to the 8-byte words the cost
 /// model charges (2 for `(index, value)` pairs, 1 for bare indices).
 pub trait Communicator {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
     /// The accounting context (grid, cost model, timers, schedule).
     fn ctx(&self) -> &DistCtx;
 
@@ -321,10 +378,6 @@ pub trait Communicator {
 // ---------------------------------------------------------------------------
 
 impl Communicator for DistCtx {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Simulator
-    }
-
     fn ctx(&self) -> &DistCtx {
         self
     }
@@ -530,10 +583,6 @@ impl EngineComm {
 }
 
 impl Communicator for EngineComm {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Engine
-    }
-
     fn ctx(&self) -> &DistCtx {
         &self.ctx
     }

@@ -154,219 +154,36 @@ pub struct DistMatrix {
 
 impl DistMatrix {
     /// Distributes `t` over the grid of `ctx` (balanced block distribution
-    /// in both dimensions, as CombBLAS does).
+    /// in both dimensions, as CombBLAS does). Converts `t` to CSC once
+    /// (sorting and deduplicating) and scatters the view.
     pub fn from_triples(ctx: &DistCtx, t: &Triples) -> Self {
-        Self::with_grid(t, ctx.machine.grid.pr, ctx.machine.grid.pc)
+        Self::with_grid_csc(
+            &t.to_csc().view(),
+            ctx.machine.grid.pr,
+            ctx.machine.grid.pc,
+            None,
+            None,
+        )
     }
 
-    /// Distributes `t` over an explicit `pr × pc` grid.
-    pub fn with_grid(t: &Triples, pr: usize, pc: usize) -> Self {
-        Self::with_grid_mapped(t, pr, pc, None, None, false)
-    }
-
-    /// Distributes `t` with the relabeling and transposition fused into the
-    /// scatter: entry `(i, j)` lands as `(rowp(i), colp(j))`, swapped when
-    /// `transpose` is set. Avoids materializing the permuted (and
-    /// transposed) triple lists that `maximum_matching` previously cloned
-    /// on every solve.
-    pub fn from_triples_mapped(
-        ctx: &DistCtx,
-        t: &Triples,
+    /// Distributes the graph behind `v` over an explicit `pr × pc` grid,
+    /// with the relabeling fused into the scatter: entry `(i, j)` lands as
+    /// `(rowp(i), colp(j))`, so no permuted copy of the graph is ever
+    /// materialized.
+    pub fn with_grid_csc(
+        v: &CscView<'_>,
+        pr: usize,
+        pc: usize,
         rowp: Option<&Permutation>,
         colp: Option<&Permutation>,
-        transpose: bool,
     ) -> Self {
-        Self::with_grid_mapped(t, ctx.machine.grid.pr, ctx.machine.grid.pc, rowp, colp, transpose)
+        Self::scatter(v, pr, pc, rowp, colp, false).0
     }
 
-    /// Builds `A` and `Aᵀ` together from one scatter pass over `t` —
+    /// Builds `A` and `Aᵀ` together from one scatter pass over `v` —
     /// permutation lookups and block routing are paid once for both
     /// orientations. Used by the matching pipeline, which needs the
     /// transpose for every row-proposing initializer.
-    pub fn from_triples_mapped_pair(
-        ctx: &DistCtx,
-        t: &Triples,
-        rowp: Option<&Permutation>,
-        colp: Option<&Permutation>,
-    ) -> (Self, Self) {
-        let (pr, pc) = (ctx.machine.grid.pr, ctx.machine.grid.pc);
-        Self::with_grid_mapped_pair(t, pr, pc, rowp, colp)
-    }
-
-    /// [`DistMatrix::from_triples_mapped_pair`] over an explicit grid.
-    pub fn with_grid_mapped_pair(
-        t: &Triples,
-        pr: usize,
-        pc: usize,
-        rowp: Option<&Permutation>,
-        colp: Option<&Permutation>,
-    ) -> (Self, Self) {
-        if pr == 1 && pc == 1 {
-            // Single-block execution (the shared-memory backend): scatter A
-            // once and derive Aᵀ by counting transpose over the compacted
-            // nonzeros — cheaper than a second scatter of the raw edge
-            // list, and bit-identical (transpose of a canonical DCSC is the
-            // canonical DCSC of the swapped pairs).
-            let a_block = if rowp.is_none() && colp.is_none() {
-                Dcsc::from_unsorted_pairs(t.nrows(), t.ncols(), t.entries())
-            } else {
-                let mapped: Vec<(Vidx, Vidx)> = t
-                    .entries()
-                    .iter()
-                    .map(|&(i, j)| (rowp.map_or(i, |p| p.apply(i)), colp.map_or(j, |p| p.apply(j))))
-                    .collect();
-                Dcsc::from_unsorted_pairs(t.nrows(), t.ncols(), &mapped)
-            };
-            let at_block = a_block.transposed();
-            let (nnz, t_nnz) = (a_block.nnz(), at_block.nnz());
-            let a = Self {
-                nrows: t.nrows(),
-                ncols: t.ncols(),
-                pr: 1,
-                pc: 1,
-                row_off: vec![0, t.nrows()],
-                col_off: vec![0, t.ncols()],
-                blocks: vec![a_block],
-                nnz,
-            };
-            let at = Self {
-                nrows: t.ncols(),
-                ncols: t.nrows(),
-                pr: 1,
-                pc: 1,
-                row_off: vec![0, t.ncols()],
-                col_off: vec![0, t.nrows()],
-                blocks: vec![at_block],
-                nnz: t_nnz,
-            };
-            return (a, at);
-        }
-        let row_off = block_offsets(t.nrows(), pr);
-        let col_off = block_offsets(t.ncols(), pc);
-        let t_row_off = block_offsets(t.ncols(), pr);
-        let t_col_off = block_offsets(t.nrows(), pc);
-        let cap = t.len() / (pr * pc) + 8;
-        let mut parts: Vec<Vec<(Vidx, Vidx)>> =
-            (0..pr * pc).map(|_| Vec::with_capacity(cap)).collect();
-        let mut t_parts: Vec<Vec<(Vidx, Vidx)>> =
-            (0..pr * pc).map(|_| Vec::with_capacity(cap)).collect();
-        for &(i, j) in t.entries() {
-            let pi = rowp.map_or(i, |p| p.apply(i));
-            let pj = colp.map_or(j, |p| p.apply(j));
-            let bi = block_owner(&row_off, pi as usize);
-            let bj = block_owner(&col_off, pj as usize);
-            parts[bi * pc + bj].push((pi - row_off[bi] as Vidx, pj - col_off[bj] as Vidx));
-            let tbi = block_owner(&t_row_off, pj as usize);
-            let tbj = block_owner(&t_col_off, pi as usize);
-            t_parts[tbi * pc + tbj]
-                .push((pj - t_row_off[tbi] as Vidx, pi - t_col_off[tbj] as Vidx));
-        }
-        let build = |off_r: &[usize], off_c: &[usize], parts: &[Vec<(Vidx, Vidx)>]| -> Vec<Dcsc> {
-            mcm_par::par_map_range(parts.len(), mcm_par::max_threads(), |b| {
-                let (bi, bj) = (b / pc, b % pc);
-                Dcsc::from_unsorted_pairs(
-                    off_r[bi + 1] - off_r[bi],
-                    off_c[bj + 1] - off_c[bj],
-                    &parts[b],
-                )
-            })
-        };
-        let blocks = build(&row_off, &col_off, &parts);
-        let t_blocks = build(&t_row_off, &t_col_off, &t_parts);
-        let nnz = blocks.iter().map(|b| b.nnz()).sum();
-        let t_nnz = t_blocks.iter().map(|b| b.nnz()).sum();
-        let a = Self { nrows: t.nrows(), ncols: t.ncols(), pr, pc, row_off, col_off, blocks, nnz };
-        let at = Self {
-            nrows: t.ncols(),
-            ncols: t.nrows(),
-            pr,
-            pc,
-            row_off: t_row_off,
-            col_off: t_col_off,
-            blocks: t_blocks,
-            nnz: t_nnz,
-        };
-        (a, at)
-    }
-
-    /// [`DistMatrix::from_triples_mapped`] over an explicit grid.
-    pub fn with_grid_mapped(
-        t: &Triples,
-        pr: usize,
-        pc: usize,
-        rowp: Option<&Permutation>,
-        colp: Option<&Permutation>,
-        transpose: bool,
-    ) -> Self {
-        let (nrows, ncols) =
-            if transpose { (t.ncols(), t.nrows()) } else { (t.nrows(), t.ncols()) };
-        if pr == 1 && pc == 1 {
-            // Single-block fast path: no routing, no per-block partitions.
-            let block = if rowp.is_none() && colp.is_none() && !transpose {
-                Dcsc::from_unsorted_pairs(nrows, ncols, t.entries())
-            } else if rowp.is_none() && colp.is_none() {
-                Dcsc::from_unsorted_pairs(t.nrows(), t.ncols(), t.entries()).transposed()
-            } else {
-                let mapped: Vec<(Vidx, Vidx)> = t
-                    .entries()
-                    .iter()
-                    .map(|&(i, j)| {
-                        let pi = rowp.map_or(i, |p| p.apply(i));
-                        let pj = colp.map_or(j, |p| p.apply(j));
-                        if transpose {
-                            (pj, pi)
-                        } else {
-                            (pi, pj)
-                        }
-                    })
-                    .collect();
-                Dcsc::from_unsorted_pairs(nrows, ncols, &mapped)
-            };
-            let nnz = block.nnz();
-            return Self {
-                nrows,
-                ncols,
-                pr,
-                pc,
-                row_off: vec![0, nrows],
-                col_off: vec![0, ncols],
-                blocks: vec![block],
-                nnz,
-            };
-        }
-        let row_off = block_offsets(nrows, pr);
-        let col_off = block_offsets(ncols, pc);
-        let mut parts: Vec<Vec<(Vidx, Vidx)>> =
-            (0..pr * pc).map(|_| Vec::with_capacity(t.len() / (pr * pc) + 8)).collect();
-        for &(i, j) in t.entries() {
-            let pi = rowp.map_or(i, |p| p.apply(i));
-            let pj = colp.map_or(j, |p| p.apply(j));
-            let (gi, gj) = if transpose { (pj, pi) } else { (pi, pj) };
-            let bi = block_owner(&row_off, gi as usize);
-            let bj = block_owner(&col_off, gj as usize);
-            parts[bi * pc + bj].push((gi - row_off[bi] as Vidx, gj - col_off[bj] as Vidx));
-        }
-        let blocks: Vec<Dcsc> = mcm_par::par_map_range(parts.len(), mcm_par::max_threads(), |b| {
-            let (bi, bj) = (b / pc, b % pc);
-            Dcsc::from_unsorted_pairs(
-                row_off[bi + 1] - row_off[bi],
-                col_off[bj + 1] - col_off[bj],
-                &parts[b],
-            )
-        });
-        let nnz = blocks.iter().map(|b| b.nnz()).sum();
-        Self { nrows, ncols, pr, pc, row_off, col_off, blocks, nnz }
-    }
-
-    /// [`DistMatrix::with_grid_mapped_pair`] from a borrowed CSC view — the
-    /// zero-copy load path for mmap-backed MCSB files (`mcm-store`).
-    ///
-    /// On a 1×1 grid (the shared-memory backend) no triple list ever
-    /// exists: the unpermuted case compacts the view straight into DCSC
-    /// ([`Dcsc::from_csc_view`]) and the permuted case streams mapped pairs
-    /// through the two-pass counting builder ([`Dcsc::from_pair_iter`]).
-    /// Multi-block grids scatter into per-block pair buffers, the same
-    /// transient footprint as the triples-based path.
     pub fn with_grid_csc_pair(
         v: &CscView<'_>,
         pr: usize,
@@ -374,59 +191,65 @@ impl DistMatrix {
         rowp: Option<&Permutation>,
         colp: Option<&Permutation>,
     ) -> (Self, Self) {
+        let (a, at) = Self::scatter(v, pr, pc, rowp, colp, true);
+        (a, at.expect("scatter builds the transpose on request"))
+    }
+
+    /// The one assembly body: `A` (and `Aᵀ` when `with_t`) of the relabeled
+    /// view on a `pr × pc` grid.
+    ///
+    /// On a 1×1 grid (the shared-memory backend) no pair list ever exists:
+    /// the unpermuted case compacts the view straight into DCSC
+    /// ([`Dcsc::from_csc_view`]), the permuted case streams mapped pairs
+    /// through the two-pass counting builder ([`Dcsc::from_pair_iter`]),
+    /// and `Aᵀ` is derived by counting transpose over the compacted
+    /// nonzeros — bit-identical (the transpose of a canonical DCSC is the
+    /// canonical DCSC of the swapped pairs). Multi-block grids scatter into
+    /// per-block pair buffers and compact each block in parallel.
+    fn scatter(
+        v: &CscView<'_>,
+        pr: usize,
+        pc: usize,
+        rowp: Option<&Permutation>,
+        colp: Option<&Permutation>,
+        with_t: bool,
+    ) -> (Self, Option<Self>) {
+        let (n1, n2) = (v.nrows(), v.ncols());
         if pr == 1 && pc == 1 {
             let a_block = if rowp.is_none() && colp.is_none() {
                 Dcsc::from_csc_view(v)
             } else {
-                Dcsc::from_pair_iter(v.nrows(), v.ncols(), || {
+                Dcsc::from_pair_iter(n1, n2, || {
                     v.iter().map(|(i, j)| {
                         (rowp.map_or(i, |p| p.apply(i)), colp.map_or(j, |p| p.apply(j)))
                     })
                 })
             };
-            let at_block = a_block.transposed();
-            let (nnz, t_nnz) = (a_block.nnz(), at_block.nnz());
-            let a = Self {
-                nrows: v.nrows(),
-                ncols: v.ncols(),
-                pr: 1,
-                pc: 1,
-                row_off: vec![0, v.nrows()],
-                col_off: vec![0, v.ncols()],
-                blocks: vec![a_block],
-                nnz,
-            };
-            let at = Self {
-                nrows: v.ncols(),
-                ncols: v.nrows(),
-                pr: 1,
-                pc: 1,
-                row_off: vec![0, v.ncols()],
-                col_off: vec![0, v.nrows()],
-                blocks: vec![at_block],
-                nnz: t_nnz,
-            };
-            return (a, at);
+            let at = with_t.then(|| Self::from_blocks(n2, n1, 1, 1, vec![a_block.transposed()]));
+            return (Self::from_blocks(n1, n2, 1, 1, vec![a_block]), at);
         }
-        let row_off = block_offsets(v.nrows(), pr);
-        let col_off = block_offsets(v.ncols(), pc);
-        let t_row_off = block_offsets(v.ncols(), pr);
-        let t_col_off = block_offsets(v.nrows(), pc);
+        let row_off = block_offsets(n1, pr);
+        let col_off = block_offsets(n2, pc);
+        let t_row_off = block_offsets(n2, pr);
+        let t_col_off = block_offsets(n1, pc);
         let cap = v.nnz() / (pr * pc) + 8;
-        let mut parts: Vec<Vec<(Vidx, Vidx)>> =
-            (0..pr * pc).map(|_| Vec::with_capacity(cap)).collect();
-        let mut t_parts: Vec<Vec<(Vidx, Vidx)>> =
-            (0..pr * pc).map(|_| Vec::with_capacity(cap)).collect();
+        let new_parts = |n: usize| -> Vec<Vec<(Vidx, Vidx)>> {
+            (0..n).map(|_| Vec::with_capacity(cap)).collect()
+        };
+        let mut parts = new_parts(pr * pc);
+        let mut t_parts = new_parts(if with_t { pr * pc } else { 0 });
         for (i, j) in v.iter() {
             let pi = rowp.map_or(i, |p| p.apply(i));
             let pj = colp.map_or(j, |p| p.apply(j));
             let bi = block_owner(&row_off, pi as usize);
             let bj = block_owner(&col_off, pj as usize);
             parts[bi * pc + bj].push((pi - row_off[bi] as Vidx, pj - col_off[bj] as Vidx));
-            let tbi = block_owner(&t_row_off, pj as usize);
-            let tbj = block_owner(&t_col_off, pi as usize);
-            t_parts[tbi * pc + tbj]
-                .push((pj - t_row_off[tbi] as Vidx, pi - t_col_off[tbj] as Vidx));
+            if with_t {
+                let tbi = block_owner(&t_row_off, pj as usize);
+                let tbj = block_owner(&t_col_off, pi as usize);
+                t_parts[tbi * pc + tbj]
+                    .push((pj - t_row_off[tbi] as Vidx, pi - t_col_off[tbj] as Vidx));
+            }
         }
         let build = |off_r: &[usize], off_c: &[usize], parts: &[Vec<(Vidx, Vidx)>]| -> Vec<Dcsc> {
             mcm_par::par_map_range(parts.len(), mcm_par::max_threads(), |b| {
@@ -438,87 +261,17 @@ impl DistMatrix {
                 )
             })
         };
-        let blocks = build(&row_off, &col_off, &parts);
-        let t_blocks = build(&t_row_off, &t_col_off, &t_parts);
-        let nnz = blocks.iter().map(|b| b.nnz()).sum();
-        let t_nnz = t_blocks.iter().map(|b| b.nnz()).sum();
-        let a = Self { nrows: v.nrows(), ncols: v.ncols(), pr, pc, row_off, col_off, blocks, nnz };
-        let at = Self {
-            nrows: v.ncols(),
-            ncols: v.nrows(),
-            pr,
-            pc,
-            row_off: t_row_off,
-            col_off: t_col_off,
-            blocks: t_blocks,
-            nnz: t_nnz,
-        };
+        let a = Self::from_blocks(n1, n2, pr, pc, build(&row_off, &col_off, &parts));
+        let at = with_t
+            .then(|| Self::from_blocks(n2, n1, pr, pc, build(&t_row_off, &t_col_off, &t_parts)));
         (a, at)
     }
 
-    /// [`DistMatrix::with_grid_mapped`] from a borrowed CSC view (see
-    /// [`DistMatrix::with_grid_csc_pair`] for the zero-copy guarantees).
-    pub fn with_grid_csc(
-        v: &CscView<'_>,
-        pr: usize,
-        pc: usize,
-        rowp: Option<&Permutation>,
-        colp: Option<&Permutation>,
-        transpose: bool,
-    ) -> Self {
-        let (nrows, ncols) =
-            if transpose { (v.ncols(), v.nrows()) } else { (v.nrows(), v.ncols()) };
-        if pr == 1 && pc == 1 {
-            let block = if rowp.is_none() && colp.is_none() && !transpose {
-                Dcsc::from_csc_view(v)
-            } else if rowp.is_none() && colp.is_none() {
-                Dcsc::from_csc_view(v).transposed()
-            } else {
-                Dcsc::from_pair_iter(nrows, ncols, || {
-                    v.iter().map(|(i, j)| {
-                        let pi = rowp.map_or(i, |p| p.apply(i));
-                        let pj = colp.map_or(j, |p| p.apply(j));
-                        if transpose {
-                            (pj, pi)
-                        } else {
-                            (pi, pj)
-                        }
-                    })
-                })
-            };
-            let nnz = block.nnz();
-            return Self {
-                nrows,
-                ncols,
-                pr,
-                pc,
-                row_off: vec![0, nrows],
-                col_off: vec![0, ncols],
-                blocks: vec![block],
-                nnz,
-            };
-        }
-        let row_off = block_offsets(nrows, pr);
-        let col_off = block_offsets(ncols, pc);
-        let mut parts: Vec<Vec<(Vidx, Vidx)>> =
-            (0..pr * pc).map(|_| Vec::with_capacity(v.nnz() / (pr * pc) + 8)).collect();
-        for (i, j) in v.iter() {
-            let pi = rowp.map_or(i, |p| p.apply(i));
-            let pj = colp.map_or(j, |p| p.apply(j));
-            let (gi, gj) = if transpose { (pj, pi) } else { (pi, pj) };
-            let bi = block_owner(&row_off, gi as usize);
-            let bj = block_owner(&col_off, gj as usize);
-            parts[bi * pc + bj].push((gi - row_off[bi] as Vidx, gj - col_off[bj] as Vidx));
-        }
-        let blocks: Vec<Dcsc> = mcm_par::par_map_range(parts.len(), mcm_par::max_threads(), |b| {
-            let (bi, bj) = (b / pc, b % pc);
-            Dcsc::from_unsorted_pairs(
-                row_off[bi + 1] - row_off[bi],
-                col_off[bj + 1] - col_off[bj],
-                &parts[b],
-            )
-        });
+    /// Wraps row-major `pr × pc` blocks of an `nrows × ncols` matrix under
+    /// the balanced block distribution.
+    fn from_blocks(nrows: usize, ncols: usize, pr: usize, pc: usize, blocks: Vec<Dcsc>) -> Self {
         let nnz = blocks.iter().map(|b| b.nnz()).sum();
+        let (row_off, col_off) = (block_offsets(nrows, pr), block_offsets(ncols, pc));
         Self { nrows, ncols, pr, pc, row_off, col_off, blocks, nnz }
     }
 
@@ -1357,7 +1110,7 @@ mod tests {
     #[test]
     fn blocks_partition_nnz() {
         let t = fig2_triples();
-        let a = DistMatrix::with_grid(&t, 3, 2);
+        let a = DistMatrix::with_grid_csc(&t.to_csc().view(), 3, 2, None, None);
         assert_eq!(a.nnz(), 9);
         let sum: usize = (0..3)
             .flat_map(|i| (0..2).map(move |j| (i, j)))
@@ -1482,8 +1235,8 @@ mod tests {
     fn hypersparse_fraction_increases_with_grid() {
         // A sparse-ish random-ish structure: diagonal of a 64x64.
         let t = Triples::from_edges(64, 64, (0..64).map(|i| (i as Vidx, i as Vidx)).collect());
-        let small = DistMatrix::with_grid(&t, 2, 2);
-        let large = DistMatrix::with_grid(&t, 16, 16);
+        let small = DistMatrix::with_grid_csc(&t.to_csc().view(), 2, 2, None, None);
+        let large = DistMatrix::with_grid_csc(&t.to_csc().view(), 16, 16, None, None);
         assert!(large.hypersparse_fraction() >= small.hypersparse_fraction());
     }
 

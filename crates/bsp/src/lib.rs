@@ -38,7 +38,7 @@ pub mod shared;
 pub mod timers;
 
 pub use collectives::{balanced_owner, per_rank_counts};
-pub use comm::{AtomicWin, BackendKind, Communicator, EngineComm, ReduceOp, RmaTask, RmaWin};
+pub use comm::{AtomicWin, Backend, Communicator, EngineComm, ReduceOp, RmaTask, RmaWin};
 pub use cost::CostModel;
 pub use ctx::DistCtx;
 pub use distmat::{DistMatrix, SpmvPlan};

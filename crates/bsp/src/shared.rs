@@ -53,7 +53,7 @@
 //! the layout that makes the arena contiguous.
 
 use crate::comm::{
-    interleave_tasks, record_rma_epoch, BackendKind, Communicator, CountingWin, ReduceOp, RmaTask,
+    interleave_tasks, record_rma_epoch, Communicator, CountingWin, ReduceOp, RmaTask,
 };
 use crate::ctx::DistCtx;
 use crate::distmat::{DistMatrix, SpmvPlan};
@@ -103,10 +103,6 @@ impl SharedComm {
 }
 
 impl Communicator for SharedComm {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Shared
-    }
-
     fn ctx(&self) -> &DistCtx {
         &self.ctx
     }
@@ -275,8 +271,9 @@ mod tests {
             let dim = (p as f64).sqrt() as usize;
             let mut sim = DistCtx::new(MachineConfig::hybrid(dim, 1));
             let mut shm = SharedComm::new(p, 1);
-            let a_sim = DistMatrix::with_grid(&t, dim, dim);
-            let a_shm = DistMatrix::with_grid(&t, 1, 1);
+            let v = t.to_csc();
+            let a_sim = DistMatrix::with_grid_csc(&v.view(), dim, dim, None, None);
+            let a_shm = DistMatrix::with_grid_csc(&v.view(), 1, 1, None, None);
             let x = SpVec::from_pairs(9, vec![(0, 0u32), (2, 2), (4, 4), (8, 8)]);
             let mut plan_sim = SpmvPlan::new();
             let mut plan_shm = SpmvPlan::new();

@@ -43,11 +43,10 @@ pub mod weighted;
 
 pub use matching::Matching;
 pub use mcm::{
-    maximum_matching, maximum_matching_engine, maximum_matching_engine_view, maximum_matching_from,
-    maximum_matching_from_pooled, maximum_matching_view, McmOptions, McmResult, McmStats,
-    SolverPool,
+    maximum_matching, maximum_matching_pooled, maximum_matching_view, McmOptions, McmResult,
+    McmStats, SolverPool,
 };
-pub use portfolio::{MatchingAlgo, PortfolioBackend, PortfolioOptions, SelectorStats};
+pub use portfolio::{MatchingAlgo, PortfolioOptions, SelectorStats};
 pub use semirings::SemiringKind;
 pub use vertex::Vertex;
 pub use weighted::{auction_mwm, auction_mwm_par, matching_weight, WeightedResult};

@@ -19,14 +19,11 @@
 
 use crate::auction::{auction, AuctionOptions};
 use crate::matching::Matching;
-use crate::mcm::{
-    maximum_matching, maximum_matching_engine, maximum_matching_shared, McmOptions, McmResult,
-    McmStats,
-};
+use crate::mcm::{maximum_matching_pooled, McmOptions, McmResult, McmStats, SolverPool};
 use crate::ppf::{ppf, PpfOptions};
 use crate::weighted::{auction_mwm_par, WeightedResult};
-use mcm_bsp::{DistCtx, MachineConfig};
-use mcm_sparse::{Csc, Triples, WCsc};
+use mcm_bsp::{Backend, Communicator, DistCtx, EngineComm, MachineConfig, SharedComm, Timers};
+use mcm_sparse::{CscView, WCsc};
 use std::fmt;
 use std::str::FromStr;
 
@@ -117,13 +114,8 @@ impl SelectorStats {
     /// degree at ≥ 2× the mean at these sizes).
     pub const UNIFORM: f64 = 1.25;
 
-    /// Measures the selector inputs (deduplicates via CSC assembly).
-    pub fn measure(t: &Triples) -> SelectorStats {
-        Self::measure_csc(&t.to_csc())
-    }
-
-    /// Measures the selector inputs from an already-assembled CSC.
-    pub fn measure_csc(a: &Csc) -> SelectorStats {
+    /// Measures the selector inputs in one pass over the graph.
+    pub fn measure(a: &CscView<'_>) -> SelectorStats {
         let (n1, n2) = (a.nrows(), a.ncols());
         let mut nnz = 0usize;
         let mut max_col = 0usize;
@@ -184,46 +176,13 @@ impl SelectorStats {
     }
 }
 
-/// Which machine MS-BFS runs on when the portfolio picks it. PPF and the
-/// auction are shared-memory engines — they take `threads` directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PortfolioBackend {
-    /// Cost-model simulator on a `grid × grid` process grid.
-    Sim {
-        /// Process-grid side (ranks = grid²).
-        grid: usize,
-        /// Modeled threads per rank.
-        threads: usize,
-    },
-    /// Thread-per-rank channel-mesh engine.
-    Engine {
-        /// Real ranks (perfect square).
-        p: usize,
-        /// Worker threads per rank.
-        threads: usize,
-    },
-    /// Fused shared-memory backend with simulator-identical accounting.
-    Shared {
-        /// Logical ranks (perfect square).
-        p: usize,
-        /// Worker threads.
-        threads: usize,
-    },
-}
-
-impl Default for PortfolioBackend {
-    fn default() -> Self {
-        PortfolioBackend::Sim { grid: 2, threads: 1 }
-    }
-}
-
 /// Options of [`solve`].
 #[derive(Clone, Copy, Debug)]
 pub struct PortfolioOptions {
     /// Engine to run; `Auto` measures [`SelectorStats`] and picks.
     pub algo: MatchingAlgo,
     /// Machine for the MS-BFS engine.
-    pub backend: PortfolioBackend,
+    pub backend: Backend,
     /// Worker threads for the PPF / auction engines.
     pub threads: usize,
     /// MS-BFS tunables (ignored by PPF / auction).
@@ -237,7 +196,7 @@ impl Default for PortfolioOptions {
     fn default() -> Self {
         Self {
             algo: MatchingAlgo::Auto,
-            backend: PortfolioBackend::default(),
+            backend: Backend::default(),
             threads: 1,
             mcm: McmOptions::default(),
             seed: 0,
@@ -247,62 +206,79 @@ impl Default for PortfolioOptions {
 
 /// Resolves `Auto` to a concrete engine for this graph (measures only
 /// when needed); returns the engine together with the measured stats.
-pub fn resolve_algo(t: &Triples, algo: MatchingAlgo) -> (MatchingAlgo, Option<SelectorStats>) {
+pub fn resolve_algo(v: &CscView<'_>, algo: MatchingAlgo) -> (MatchingAlgo, Option<SelectorStats>) {
     match algo {
         MatchingAlgo::Auto => {
-            let s = SelectorStats::measure(t);
+            let s = SelectorStats::measure(v);
             (s.choose(), Some(s))
         }
         concrete => (concrete, None),
     }
 }
 
-/// Runs the portfolio on `t`: resolves `Auto`, dispatches the engine, and
-/// stamps `McmStats::algo`/`algo_auto` plus the
-/// `mcm_algo_runs_total{algo,selector}` metric.
-pub fn solve(t: &Triples, opts: &PortfolioOptions) -> McmResult {
+/// Runs the portfolio on the graph behind `v`: resolves `Auto`,
+/// dispatches the engine, and stamps `McmStats::algo`/`algo_auto` plus
+/// the `mcm_algo_runs_total{algo,selector}` metric.
+///
+/// `warm` (a valid matching of `v`) seeds MS-BFS and Pothen–Fan; the
+/// auction cannot reuse a stale matching and re-solves cold. `pool`
+/// keeps the MS-BFS buffers warm across calls. Returns the modeled
+/// α–β–γ timers of the MS-BFS backend next to the result (empty for the
+/// shared-memory engines, which have no cost model).
+pub fn solve(
+    v: &CscView<'_>,
+    warm: Option<Matching>,
+    pool: &mut SolverPool,
+    opts: &PortfolioOptions,
+) -> (McmResult, Timers) {
     let was_auto = opts.algo == MatchingAlgo::Auto;
-    let (algo, _) = resolve_algo(t, opts.algo);
+    let (algo, _) = resolve_algo(v, opts.algo);
     mcm_obs::counter_add(
         "mcm_algo_runs_total",
         &[("algo", algo.name()), ("selector", if was_auto { "auto" } else { "explicit" })],
         1,
     );
-    let mut result = match algo {
+    fn ms_bfs<C: Communicator>(
+        mut comm: C,
+        v: &CscView<'_>,
+        warm: Option<Matching>,
+        pool: &mut SolverPool,
+        opts: &McmOptions,
+    ) -> (McmResult, Timers) {
+        let r = maximum_matching_pooled(&mut comm, v, warm, opts, pool);
+        (r, comm.ctx().timers.clone())
+    }
+    let (mut result, timers) = match algo {
         MatchingAlgo::MsBfs => match opts.backend {
-            PortfolioBackend::Sim { grid, threads } => {
-                let mut ctx = DistCtx::new(MachineConfig::hybrid(grid, threads));
-                maximum_matching(&mut ctx, t, &opts.mcm)
+            Backend::Sim { grid, threads } => {
+                let ctx = DistCtx::new(MachineConfig::hybrid(grid, threads));
+                ms_bfs(ctx, v, warm, pool, &opts.mcm)
             }
-            PortfolioBackend::Engine { p, threads } => {
-                maximum_matching_engine(p, threads, t, &opts.mcm)
+            Backend::Engine { p, threads } => {
+                ms_bfs(EngineComm::new(p, threads), v, warm, pool, &opts.mcm)
             }
-            PortfolioBackend::Shared { p, threads } => {
-                maximum_matching_shared(p, threads, t, &opts.mcm)
+            Backend::Shared { p, threads } => {
+                ms_bfs(SharedComm::new(p, threads), v, warm, pool, &opts.mcm)
             }
         },
         MatchingAlgo::Ppf => {
-            let a = t.to_csc();
             let ppf_opts = PpfOptions { threads: opts.threads, fairness: true, seed: opts.seed };
-            let r = ppf(&a, None, &ppf_opts);
-            McmResult {
-                matching: r.matching,
-                stats: McmStats {
-                    algo: "ppf",
-                    phases: r.stats.phases,
-                    augmentations: r.stats.paths,
-                    ..Default::default()
-                },
-            }
+            let r = ppf(&v.to_csc(), warm, &ppf_opts);
+            let stats = McmStats {
+                algo: "ppf",
+                phases: r.stats.phases,
+                augmentations: r.stats.paths,
+                ..Default::default()
+            };
+            (McmResult { matching: r.matching, stats }, Timers::new())
         }
         MatchingAlgo::Auction => {
-            let a = t.to_csc();
             let auction_opts = AuctionOptions {
                 threads: opts.threads,
                 seed: opts.seed,
                 ..AuctionOptions::default()
             };
-            let r = auction(&a, &auction_opts);
+            let r = auction(&v.to_csc(), &auction_opts);
             let stats = McmStats {
                 algo: "auction",
                 phases: r.stats.scales,
@@ -310,17 +286,12 @@ pub fn solve(t: &Triples, opts: &PortfolioOptions) -> McmResult {
                 augmentations: r.matching.cardinality(),
                 ..Default::default()
             };
-            McmResult { matching: r.matching, stats }
+            (McmResult { matching: r.matching, stats }, Timers::new())
         }
         MatchingAlgo::Auto => unreachable!("resolve_algo returns concrete engines"),
     };
     result.stats.algo_auto = was_auto;
-    result
-}
-
-/// Convenience: [`solve`] returning only the matching.
-pub fn solve_matching(t: &Triples, opts: &PortfolioOptions) -> Matching {
-    solve(t, opts).matching
+    (result, timers)
 }
 
 /// The weighted front door: maximum *weight* matching through the
@@ -349,7 +320,15 @@ mod tests {
     use super::*;
     use crate::serial::hopcroft_karp;
     use mcm_sparse::permute::SplitMix64;
-    use mcm_sparse::Vidx;
+    use mcm_sparse::{Triples, Vidx};
+
+    fn measure(t: &Triples) -> SelectorStats {
+        SelectorStats::measure(&t.to_csc().view())
+    }
+
+    fn solve_cold(t: &Triples, opts: &PortfolioOptions) -> McmResult {
+        solve(&t.to_csc().view(), None, &mut SolverPool::new(), opts).0
+    }
 
     #[test]
     fn parse_and_display_round_trip() {
@@ -376,7 +355,7 @@ mod tests {
         for r in 2..5u32 {
             dense.push(r, 0);
         }
-        let s = SelectorStats::measure(&dense);
+        let s = measure(&dense);
         assert!(s.density >= SelectorStats::DENSE, "density {}", s.density);
         assert!(
             s.degree_skew > SelectorStats::UNIFORM && s.degree_skew < SelectorStats::SKEWED,
@@ -393,7 +372,7 @@ mod tests {
                 block.push(r, c);
             }
         }
-        let s = SelectorStats::measure(&block);
+        let s = measure(&block);
         assert!(s.degree_skew <= SelectorStats::UNIFORM);
         assert_eq!(s.choose(), MatchingAlgo::Ppf);
 
@@ -405,7 +384,7 @@ mod tests {
         for i in 1..64u32 {
             hub.push(i, i);
         }
-        let s = SelectorStats::measure(&hub);
+        let s = measure(&hub);
         assert!(s.degree_skew >= SelectorStats::SKEWED, "skew {}", s.degree_skew);
         assert_eq!(s.choose(), MatchingAlgo::Ppf);
 
@@ -414,7 +393,7 @@ mod tests {
         for c in 0..64u32 {
             rect.push(c % 8, c);
         }
-        assert_eq!(SelectorStats::measure(&rect).choose(), MatchingAlgo::Ppf);
+        assert_eq!(measure(&rect).choose(), MatchingAlgo::Ppf);
 
         // Balanced sparse graph → msbfs; empty graph → msbfs.
         let mut plain = Triples::new(64, 64);
@@ -422,8 +401,8 @@ mod tests {
             plain.push(i, i);
             plain.push((i + 1) % 64, i);
         }
-        assert_eq!(SelectorStats::measure(&plain).choose(), MatchingAlgo::MsBfs);
-        assert_eq!(SelectorStats::measure(&Triples::new(64, 64)).choose(), MatchingAlgo::MsBfs);
+        assert_eq!(measure(&plain).choose(), MatchingAlgo::MsBfs);
+        assert_eq!(measure(&Triples::new(64, 64)).choose(), MatchingAlgo::MsBfs);
     }
 
     #[test]
@@ -438,12 +417,12 @@ mod tests {
             }
             let want = hopcroft_karp(&t.to_csc(), None).cardinality();
             for algo in MatchingAlgo::CONCRETE {
-                let r = solve(&t, &PortfolioOptions { algo, ..PortfolioOptions::default() });
+                let r = solve_cold(&t, &PortfolioOptions { algo, ..PortfolioOptions::default() });
                 assert_eq!(r.matching.cardinality(), want, "algo {algo}");
                 assert_eq!(r.stats.algo, algo.name());
                 assert!(!r.stats.algo_auto);
             }
-            let auto = solve(&t, &PortfolioOptions::default());
+            let auto = solve_cold(&t, &PortfolioOptions::default());
             assert_eq!(auto.matching.cardinality(), want);
             assert!(auto.stats.algo_auto);
             assert_ne!(auto.stats.algo, "auto", "auto must resolve to a concrete engine");

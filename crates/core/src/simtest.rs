@@ -25,7 +25,7 @@
 use crate::auction::{auction, AuctionOptions};
 use crate::augment::AugmentMode;
 use crate::maximal::Initializer;
-use crate::mcm::{maximum_matching, McmOptions};
+use crate::mcm::{maximum_matching, McmOptions, SolverPool};
 use crate::portfolio::{solve, MatchingAlgo, PortfolioOptions};
 use crate::primitives::invert;
 use crate::semirings::SemiringKind;
@@ -220,20 +220,18 @@ pub fn differential_sweep(
             for &algo in &cfg.algos {
                 for &seed in &cfg.sched_seeds {
                     report.portfolio_runs += 1;
-                    run_portfolio_one(graph, &a, want, algo, dim * dim, seed).map_err(
-                        |detail| {
-                            Box::new(SweepFailure {
-                                case: name.clone(),
-                                dim,
-                                semiring: SemiringKind::MinParent,
-                                init: Initializer::None,
-                                augment: AugmentMode::Auto,
-                                sched_seed: seed,
-                                algo: algo.name(),
-                                detail,
-                            })
-                        },
-                    )?;
+                    run_portfolio_one(&a, want, algo, dim * dim, seed).map_err(|detail| {
+                        Box::new(SweepFailure {
+                            case: name.clone(),
+                            dim,
+                            semiring: SemiringKind::MinParent,
+                            init: Initializer::None,
+                            augment: AugmentMode::Auto,
+                            sched_seed: seed,
+                            algo: algo.name(),
+                            detail,
+                        })
+                    })?;
                 }
             }
         }
@@ -246,7 +244,6 @@ pub fn differential_sweep(
 /// the full Berge certificate, and the seeded dirty-region certificate
 /// (`is_maximum_from` from every unmatched column).
 fn run_portfolio_one(
-    graph: &Triples,
     a: &Csc,
     want: usize,
     algo: MatchingAlgo,
@@ -254,7 +251,7 @@ fn run_portfolio_one(
     seed: u64,
 ) -> Result<(), String> {
     let opts = PortfolioOptions { algo, threads, seed, ..PortfolioOptions::default() };
-    let r = solve(graph, &opts);
+    let (r, _) = solve(&a.view(), None, &mut SolverPool::new(), &opts);
     if r.stats.algo != algo.name() {
         return Err(format!("stats.algo reports '{}', expected '{}'", r.stats.algo, algo.name()));
     }
@@ -557,7 +554,7 @@ mod tests {
         let a = g.to_csc();
         let want = oracle_cardinality(&a).unwrap();
         for seed in budget {
-            run_portfolio_one(&g, &a, want, MatchingAlgo::Auction, 1, seed)
+            run_portfolio_one(&a, want, MatchingAlgo::Auction, 1, seed)
                 .unwrap_or_else(|e| panic!("clean auction run failed under seed {seed}: {e}"));
         }
     }

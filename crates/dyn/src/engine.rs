@@ -19,7 +19,7 @@
 //!    parallelism rule: if the dirty set is larger than
 //!    `fallback_threshold · (n1 + n2)`, hand the whole graph to the
 //!    multi-source MS-BFS driver warm-started from the stale matching
-//!    ([`mcm_core::mcm::maximum_matching_from`]); otherwise run one
+//!    ([`mcm_core::portfolio::solve`]); otherwise run one
 //!    alternating BFS per dirty free vertex (column-rooted over `A`,
 //!    row-rooted over `Aᵀ`), plus one global sweep per interior insert.
 //! 4. **Certify** — a Berge check seeded at the still-free dirty vertices
@@ -38,13 +38,11 @@
 //! of this differentially against from-scratch Hopcroft–Karp.
 
 use crate::graph::DynGraph;
-use mcm_bsp::{DistCtx, EngineComm, SharedComm};
-use mcm_core::auction::{auction, AuctionOptions};
-use mcm_core::mcm::{maximum_matching_from_pooled, SolverPool};
-use mcm_core::ppf::{ppf, PpfOptions};
+use mcm_bsp::Backend;
+use mcm_core::mcm::SolverPool;
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify::VerifyError;
-use mcm_core::{Matching, MatchingAlgo, McmOptions, SelectorStats};
+use mcm_core::{Matching, MatchingAlgo, McmOptions, PortfolioOptions};
 use mcm_sparse::{Triples, Vidx, NIL};
 
 /// One edge update.
@@ -54,31 +52,6 @@ pub enum Update {
     Insert(Vidx, Vidx),
     /// Delete edge (row, col); a no-op when not live.
     Delete(Vidx, Vidx),
-}
-
-/// Which communication backend services the warm-started MS-BFS fallback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FallbackBackend {
-    /// Serial cost-model simulator (`DistCtx::serial()`): modeled time
-    /// only, zero threads — the historical default.
-    Simulator,
-    /// Real `EngineComm` mesh: `p` ranks (perfect square) × `threads`
-    /// worker threads per rank, so large recomputes use all cores.
-    Engine {
-        /// Rank count (must be a perfect square).
-        p: usize,
-        /// Worker threads per rank.
-        threads: usize,
-    },
-    /// Shared-memory `SharedComm` arena: `p` logical ranks (perfect
-    /// square) accounted on the cost model, executed fused in one
-    /// address space — the fastest wall-clock option for recomputes.
-    Shared {
-        /// Logical rank count (must be a perfect square).
-        p: usize,
-        /// Modeled threads per logical rank.
-        threads: usize,
-    },
 }
 
 /// Tunables of the incremental engine.
@@ -95,8 +68,11 @@ pub struct DynOptions {
     pub full_verify: bool,
     /// Options handed to the MS-BFS fallback driver.
     pub fallback_opts: McmOptions,
-    /// Backend that executes the fallback driver.
-    pub backend: FallbackBackend,
+    /// Backend that executes the fallback driver. The default
+    /// `Sim { grid: 1, threads: 1 }` is the single-process simulator;
+    /// `Engine`/`Shared` run large recomputes on all cores. Pothen–Fan
+    /// and the auction take the shape's flat worker count.
+    pub backend: Backend,
     /// Which engine services the fallback solve. `MsBfs` warm-starts the
     /// distributed driver on `backend` (the historical default); `Ppf`
     /// warm-starts parallel Pothen–Fan; `Auction` re-solves cold (the
@@ -113,7 +89,7 @@ impl Default for DynOptions {
             // Warm starts carry their own structure; skip the relabeling
             // permutation so small repair solves stay allocation-light.
             fallback_opts: McmOptions { permute_seed: None, ..Default::default() },
-            backend: FallbackBackend::Simulator,
+            backend: Backend::Sim { grid: 1, threads: 1 },
             algo: MatchingAlgo::MsBfs,
         }
     }
@@ -512,62 +488,25 @@ impl DynMatching {
         s.last = *rep;
     }
 
-    /// Large-dirty-set path: hand the stale matching to the multi-source
-    /// MS-BFS driver (§V warm start) on the configured backend — the
-    /// serial simulator by default, or the real thread-per-rank mesh
-    /// engine so big recomputes use all cores.
+    /// Large-dirty-set path: hand the stale matching to the portfolio on
+    /// the configured engine and backend — the warm-started multi-source
+    /// MS-BFS driver (§V) on the single-process simulator by default.
     fn fallback(&mut self) {
         let _span = mcm_obs::span("warm_start_fallback");
         let stale = std::mem::replace(&mut self.m, Matching::empty(0, 0));
-        let was_auto = self.opts.algo == MatchingAlgo::Auto;
-        let algo = match self.opts.algo {
-            MatchingAlgo::Auto => SelectorStats::measure_csc(&self.g.to_csc()).choose(),
-            concrete => concrete,
+        let opts = PortfolioOptions {
+            algo: self.opts.algo,
+            backend: self.opts.backend,
+            threads: self.opts.backend.worker_threads(),
+            mcm: self.opts.fallback_opts,
+            seed: 0,
         };
-        self.stats.last_algo = algo.name();
-        mcm_obs::counter_add(
-            "mcm_algo_runs_total",
-            &[("algo", algo.name()), ("selector", if was_auto { "auto" } else { "explicit" })],
-            1,
-        );
-        // Shared-memory engines take a flat worker count; map the
-        // backend's rank×thread shape onto it.
-        let threads = match self.opts.backend {
-            FallbackBackend::Simulator => 1,
-            FallbackBackend::Engine { p, threads } => p * threads,
-            FallbackBackend::Shared { threads, .. } => threads,
-        };
-        self.m = match algo {
-            MatchingAlgo::MsBfs | MatchingAlgo::Auto => {
-                let t = self.g.to_triples();
-                let (pool, opts) = (&mut self.pool, &self.opts.fallback_opts);
-                let r = match self.opts.backend {
-                    FallbackBackend::Simulator => {
-                        let mut ctx = DistCtx::serial();
-                        maximum_matching_from_pooled(&mut ctx, &t, stale, opts, pool)
-                    }
-                    FallbackBackend::Engine { p, threads } => {
-                        let mut comm = EngineComm::new(p, threads);
-                        maximum_matching_from_pooled(&mut comm, &t, stale, opts, pool)
-                    }
-                    FallbackBackend::Shared { p, threads } => {
-                        let mut comm = SharedComm::new(p, threads);
-                        maximum_matching_from_pooled(&mut comm, &t, stale, opts, pool)
-                    }
-                };
-                self.stats.fallback_spmv_calls += r.stats.spmv_workspace_calls;
-                self.stats.fallback_spmv_hits += r.stats.spmv_workspace_hits;
-                r.matching
-            }
-            MatchingAlgo::Ppf => {
-                let opts = PpfOptions { threads, fairness: true, seed: 0 };
-                ppf(&self.g.to_csc(), Some(stale), &opts).matching
-            }
-            MatchingAlgo::Auction => {
-                let opts = AuctionOptions { threads, ..AuctionOptions::default() };
-                auction(&self.g.to_csc(), &opts).matching
-            }
-        };
+        let a = self.g.to_csc();
+        let (r, _) = mcm_core::portfolio::solve(&a.view(), Some(stale), &mut self.pool, &opts);
+        self.stats.last_algo = r.stats.algo;
+        self.stats.fallback_spmv_calls += r.stats.spmv_workspace_calls;
+        self.stats.fallback_spmv_hits += r.stats.spmv_workspace_hits;
+        self.m = r.matching;
     }
 
     fn bump_stamp(&mut self) -> u32 {
@@ -801,11 +740,11 @@ mod tests {
         // must track each other (both are maximum, certified per batch).
         let (n1, n2) = (10usize, 10usize);
         for backend in [
-            FallbackBackend::Simulator,
-            FallbackBackend::Engine { p: 4, threads: 1 },
-            FallbackBackend::Engine { p: 1, threads: 2 },
-            FallbackBackend::Shared { p: 4, threads: 1 },
-            FallbackBackend::Shared { p: 1, threads: 2 },
+            Backend::Sim { grid: 1, threads: 1 },
+            Backend::Engine { p: 4, threads: 1 },
+            Backend::Engine { p: 1, threads: 2 },
+            Backend::Shared { p: 4, threads: 1 },
+            Backend::Shared { p: 1, threads: 2 },
         ] {
             let mut rng = SplitMix64::new(0xD15C);
             let mut dm = DynMatching::new(

@@ -30,8 +30,7 @@ pub mod graph;
 pub mod weighted;
 
 pub use engine::{
-    BatchReport, CertScope, DynMatching, DynOptions, DynStats, FallbackBackend, StateSnapshot,
-    Update,
+    BatchReport, CertScope, DynMatching, DynOptions, DynStats, StateSnapshot, Update,
 };
 pub use graph::DynGraph;
 pub use weighted::{WBatchReport, WDynMatching, WDynOptions, WDynStats, WStateSnapshot, WUpdate};

@@ -6,7 +6,7 @@
 //! *hypersparse* (more columns than nonzeros) and use [`Dcsc`](crate::Dcsc)
 //! instead, exactly as CombBLAS does.
 
-use crate::{Triples, Vidx};
+use crate::{CscView, Triples, Vidx};
 
 /// A pattern-only sparse matrix in compressed-sparse-column layout.
 ///
@@ -25,8 +25,9 @@ pub struct Csc {
     nrows: usize,
     ncols: usize,
     /// `colptr.len() == ncols + 1`; column `j` occupies
-    /// `rowind[colptr[j]..colptr[j+1]]`.
-    colptr: Vec<usize>,
+    /// `rowind[colptr[j]..colptr[j+1]]`. Fixed `u64` (the MCSB wire type),
+    /// so [`Csc::view`] lends the arrays without a copy.
+    colptr: Vec<u64>,
     /// Row indices, sorted within each column.
     rowind: Vec<Vidx>,
 }
@@ -43,7 +44,7 @@ impl Csc {
             entries.windows(2).all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)),
             "triples must be column-major sorted and deduplicated"
         );
-        let mut colptr = vec![0usize; t.ncols() + 1];
+        let mut colptr = vec![0u64; t.ncols() + 1];
         for &(_, j) in entries {
             colptr[j as usize + 1] += 1;
         }
@@ -63,9 +64,9 @@ impl Csc {
     ///
     /// # Panics
     /// Panics when the parts are structurally inconsistent.
-    pub fn from_parts(nrows: usize, ncols: usize, colptr: Vec<usize>, rowind: Vec<Vidx>) -> Self {
+    pub fn from_parts(nrows: usize, ncols: usize, colptr: Vec<u64>, rowind: Vec<Vidx>) -> Self {
         assert_eq!(colptr.len(), ncols + 1);
-        assert_eq!(*colptr.last().unwrap(), rowind.len());
+        assert_eq!(*colptr.last().unwrap() as usize, rowind.len());
         assert!(colptr.windows(2).all(|w| w[0] <= w[1]));
         debug_assert!(rowind.iter().all(|&i| (i as usize) < nrows));
         Self { nrows, ncols, colptr, rowind }
@@ -92,19 +93,26 @@ impl Csc {
     /// The sorted row indices of column `j`.
     #[inline]
     pub fn col(&self, j: usize) -> &[Vidx] {
-        &self.rowind[self.colptr[j]..self.colptr[j + 1]]
+        &self.rowind[self.colptr[j] as usize..self.colptr[j + 1] as usize]
     }
 
     /// Number of nonzeros in column `j` (the degree of column vertex `j`).
     #[inline]
     pub fn col_nnz(&self, j: usize) -> usize {
-        self.colptr[j + 1] - self.colptr[j]
+        (self.colptr[j + 1] - self.colptr[j]) as usize
     }
 
     /// Column pointer array (length `ncols + 1`).
     #[inline]
-    pub fn colptr(&self) -> &[usize] {
+    pub fn colptr(&self) -> &[u64] {
         &self.colptr
+    }
+
+    /// Lends the arrays as a borrowed [`CscView`], the graph type the
+    /// solvers take.
+    #[inline]
+    pub fn view(&self) -> CscView<'_> {
+        CscView::new(self.nrows, self.ncols, &self.colptr, &self.rowind)
     }
 
     /// Flat row-index array.
@@ -139,7 +147,7 @@ impl Csc {
 
     /// Explicit transpose (CSC of `Aᵀ`, i.e. CSR of `A`). O(nnz + n).
     pub fn transpose(&self) -> Csc {
-        let mut colptr = vec![0usize; self.nrows + 1];
+        let mut colptr = vec![0u64; self.nrows + 1];
         for &i in &self.rowind {
             colptr[i as usize + 1] += 1;
         }
@@ -150,7 +158,7 @@ impl Csc {
         let mut rowind = vec![0 as Vidx; self.nnz()];
         for j in 0..self.ncols {
             for &i in self.col(j) {
-                rowind[cursor[i as usize]] = j as Vidx;
+                rowind[cursor[i as usize] as usize] = j as Vidx;
                 cursor[i as usize] += 1;
             }
         }

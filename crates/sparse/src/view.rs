@@ -10,8 +10,9 @@
 //! materializing a triple list.
 //!
 //! `colptr` is `u64` rather than `usize` because the type is dictated by the
-//! wire format: MCSB is fixed little-endian 64-bit regardless of the host,
-//! and re-encoding to `usize` would force the copy this type exists to avoid.
+//! wire format: MCSB is fixed little-endian 64-bit regardless of the host.
+//! [`Csc`] stores the same type, so an owned matrix lends a view
+//! ([`Csc::view`]) without re-encoding.
 
 use crate::{Csc, Vidx};
 
@@ -118,8 +119,7 @@ impl<'a> CscView<'a> {
     /// stays zero-copy — this is for consumers that need ownership, like the
     /// dynamic overlay base).
     pub fn to_csc(&self) -> Csc {
-        let colptr: Vec<usize> = self.colptr.iter().map(|&p| p as usize).collect();
-        Csc::from_parts(self.nrows, self.ncols, colptr, self.rowind.to_vec())
+        Csc::from_parts(self.nrows, self.ncols, self.colptr.to_vec(), self.rowind.to_vec())
     }
 }
 

@@ -29,19 +29,16 @@
 //!
 //! Matrices are Matrix Market files; values are ignored (pattern matching).
 
-use mcm_bsp::{Communicator, DistCtx, EngineComm, MachineConfig, SharedComm};
+use mcm_bsp::Backend;
 use mcm_core::dm::{dulmage_mendelsohn, DmBlock};
 // btf used via full path in cmd_btf
 use mcm_core::serial::{hopcroft_karp, ms_bfs_graft, ms_bfs_serial, pothen_fan, push_relabel};
-use mcm_core::verify::{is_maximum, verify_view};
-use mcm_core::{
-    maximum_matching, maximum_matching_view, Matching, MatchingAlgo, McmOptions, PortfolioBackend,
-    PortfolioOptions,
-};
+use mcm_core::verify::verify_view;
+use mcm_core::{Matching, MatchingAlgo, PortfolioOptions, SolverPool};
 use mcm_sparse::io::{read_matrix_market_file, write_matrix_market_file};
 use mcm_sparse::permute::{permute_triples, Permutation};
 use mcm_sparse::stats::MatrixStats;
-use mcm_sparse::{CscView, Triples, Vidx, NIL};
+use mcm_sparse::{Csc, CscView, Vidx, NIL};
 use mcm_store::{GraphFormat, McsbFile, McsbStreamWriter};
 use std::process::ExitCode;
 
@@ -135,32 +132,19 @@ fn positional(args: &[String]) -> Option<&str> {
     None
 }
 
-/// A loaded graph: Matrix Market text parsed to triples, or an MCSB file
-/// whose CSC arrays stay on their mmap'ed pages (the zero-copy path).
+/// A loaded graph: Matrix Market text parsed and compacted to CSC, or an
+/// MCSB file whose CSC arrays stay on their mmap'ed pages (the zero-copy
+/// path). Either way the solvers see a [`CscView`].
 enum Input {
-    Mtx(Triples),
+    Mtx(Csc),
     Mcsb(McsbFile),
 }
 
-/// A borrowed graph handed to the solvers: owned triples or a CSC view into
-/// an open [`McsbFile`].
-enum Graph<'a> {
-    Triples(&'a Triples),
-    View(CscView<'a>),
-}
-
-impl Graph<'_> {
-    fn nrows(&self) -> usize {
+impl Input {
+    fn view(&self) -> CscView<'_> {
         match self {
-            Graph::Triples(t) => t.nrows(),
-            Graph::View(v) => v.nrows(),
-        }
-    }
-
-    fn ncols(&self) -> usize {
-        match self {
-            Graph::Triples(t) => t.ncols(),
-            Graph::View(v) => v.ncols(),
+            Input::Mtx(a) => a.view(),
+            Input::Mcsb(f) => f.view(),
         }
     }
 }
@@ -170,31 +154,27 @@ impl Graph<'_> {
 /// panics deeper in the pipeline.
 fn load_input(path: &str) -> Result<Input, String> {
     match mcm_store::sniff_format(path).map_err(|e| format!("{path}: {e}"))? {
-        GraphFormat::MatrixMarket => {
-            read_matrix_market_file(path).map(Input::Mtx).map_err(|e| format!("{path}: {e}"))
-        }
+        GraphFormat::MatrixMarket => read_matrix_market_file(path)
+            .map(|t| Input::Mtx(t.to_csc()))
+            .map_err(|e| format!("{path}: {e}")),
         GraphFormat::Mcsb => {
             McsbFile::open(path).map(Input::Mcsb).map_err(|e| format!("{path}: {e}"))
         }
     }
 }
 
-fn load(args: &[String]) -> Result<Triples, String> {
+/// Loads the positional graph as an owned CSC, for the commands that run
+/// the serial structural algorithms (stats, permute, dm, btf).
+fn load(args: &[String]) -> Result<Csc, String> {
     let path = positional(args).ok_or("missing input file")?;
-    match load_input(path)? {
-        Input::Mtx(t) => Ok(t),
-        // Commands that need triples (stats, permute, dm, btf) materialize
-        // the edge list; only `match --algo dist` runs zero-copy.
-        Input::Mcsb(f) => {
-            let v = f.view();
-            Ok(Triples::from_edges(v.nrows(), v.ncols(), v.iter().collect()))
-        }
-    }
+    Ok(match load_input(path)? {
+        Input::Mtx(a) => a,
+        Input::Mcsb(f) => f.to_csc(),
+    })
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let t = load(args)?;
-    let s = MatrixStats::from_triples(&t);
+    let s = MatrixStats::from_csc(&load(args)?);
     println!("rows:            {}", s.nrows);
     println!("cols:            {}", s.ncols);
     println!("nonzeros:        {}", s.nnz);
@@ -207,9 +187,9 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The distributed driver's choice of backend plus the modeled per-kernel
-/// rows it leaves behind (for `--breakdown`).
-struct DistRun {
+/// What `mcm match` reports: the matching, the engine that ran, and the
+/// modeled per-kernel rows MS-BFS left behind (for `--breakdown`).
+struct Run {
     matching: Matching,
     /// `(kernel name, modeled seconds, modeled calls)` per kernel.
     modeled: Vec<(&'static str, f64, u64)>,
@@ -219,141 +199,42 @@ struct DistRun {
     auto: bool,
 }
 
-fn compute_dist(
-    g: &Graph<'_>,
-    backend: &str,
-    grid: usize,
-    ranks: usize,
-    threads: usize,
-) -> Result<DistRun, String> {
-    let rows = |ctx: &DistCtx| {
-        ctx.timers.breakdown().into_iter().map(|(k, s, c)| (k.name(), s, c)).collect()
+fn compute(v: &CscView<'_>, algo: &str, backend: Backend, threads: usize) -> Result<Run, String> {
+    let palgo = match algo {
+        "dist" => MatchingAlgo::MsBfs,
+        "ppf" | "auction" | "auto" => algo.parse()?,
+        _ => {
+            let a = v.to_csc();
+            let (matching, label) = match algo {
+                "hk" => (hopcroft_karp(&a, None), "hk"),
+                "pf" => (pothen_fan(&a, None), "pf"),
+                "pr" => (push_relabel(&a), "pr"),
+                "msbfs" => (ms_bfs_serial(&a, None).0, "msbfs-serial"),
+                "graft" => (ms_bfs_graft(&a, None).0, "graft"),
+                other => return Err(format!("unknown algorithm: {other}")),
+            };
+            return Ok(Run { matching, modeled: Vec::new(), algo: label, auto: false });
+        }
     };
-    // Dispatches to the owned-triples or zero-copy view entry point; the
-    // two produce identical matchings (asserted by `tests/store.rs`).
-    fn solve<C: Communicator>(comm: &mut C, g: &Graph<'_>) -> mcm_core::McmResult {
-        match g {
-            Graph::Triples(t) => maximum_matching(comm, t, &McmOptions::default()),
-            Graph::View(v) => maximum_matching_view(comm, v, &McmOptions::default()),
-        }
-    }
-    match backend {
-        "sim" => {
-            let mut ctx = DistCtx::new(MachineConfig::hybrid(grid, threads));
-            let r = solve(&mut ctx, g);
-            eprintln!(
-                "simulated {} cores ({}x{} grid, {} threads/process); modeled time {:.3} ms",
-                ctx.machine.cores(),
-                grid,
-                grid,
-                threads,
-                ctx.timers.total() * 1e3
-            );
-            Ok(DistRun { matching: r.matching, modeled: rows(&ctx), algo: "msbfs", auto: false })
-        }
-        "engine" => {
-            let dim = (ranks as f64).sqrt().round() as usize;
-            if ranks == 0 || dim * dim != ranks {
-                return Err(format!("--ranks must be a positive perfect square, got {ranks}"));
-            }
-            let mut comm = EngineComm::new(ranks, threads);
-            let r = solve(&mut comm, g);
-            eprintln!(
-                "engine: {} ranks x {} threads; modeled time {:.3} ms",
-                ranks,
-                threads,
-                comm.ctx().timers.total() * 1e3
-            );
-            Ok(DistRun {
-                matching: r.matching,
-                modeled: rows(comm.ctx()),
-                algo: "msbfs",
-                auto: false,
-            })
-        }
-        "shared" => {
-            let dim = (ranks as f64).sqrt().round() as usize;
-            if ranks == 0 || dim * dim != ranks {
-                return Err(format!("--ranks must be a positive perfect square, got {ranks}"));
-            }
-            let mut comm = SharedComm::new(ranks, threads);
-            let r = solve(&mut comm, g);
-            eprintln!(
-                "shared: {} logical ranks x {} threads (fused arena); modeled time {:.3} ms",
-                ranks,
-                threads,
-                comm.ctx().timers.total() * 1e3
-            );
-            Ok(DistRun {
-                matching: r.matching,
-                modeled: rows(comm.ctx()),
-                algo: "msbfs",
-                auto: false,
-            })
-        }
-        other => Err(format!("bad --backend value: {other} (want sim|engine|shared)")),
-    }
-}
-
-fn compute(
-    g: &Graph<'_>,
-    algo: &str,
-    backend: &str,
-    grid: usize,
-    ranks: usize,
-    threads: usize,
-) -> Result<DistRun, String> {
-    if let "ppf" | "auction" | "auto" = algo {
-        let palgo: MatchingAlgo = algo.parse()?;
-        let pbackend = match backend {
-            "sim" => PortfolioBackend::Sim { grid, threads },
-            "engine" => PortfolioBackend::Engine { p: ranks, threads },
-            "shared" => PortfolioBackend::Shared { p: ranks, threads },
-            other => return Err(format!("bad --backend value: {other} (want sim|engine|shared)")),
-        };
-        let opts =
-            PortfolioOptions { algo: palgo, backend: pbackend, threads, ..Default::default() };
-        // The portfolio measures the graph before picking an engine, which
-        // needs an owned edge list either way.
-        let owned;
-        let t = match g {
-            Graph::Triples(t) => *t,
-            Graph::View(v) => {
-                owned = Triples::from_edges(v.nrows(), v.ncols(), v.iter().collect());
-                &owned
-            }
-        };
-        let r = mcm_core::portfolio::solve(t, &opts);
-        return Ok(DistRun {
-            matching: r.matching,
-            modeled: Vec::new(),
-            algo: r.stats.algo,
-            auto: r.stats.algo_auto,
-        });
-    }
+    let opts = PortfolioOptions { algo: palgo, backend, threads, ..Default::default() };
+    let (r, timers) = mcm_core::portfolio::solve(v, None, &mut SolverPool::new(), &opts);
     if algo == "dist" {
-        return compute_dist(g, backend, grid, ranks, threads);
+        let ms = timers.total() * 1e3;
+        match backend {
+            Backend::Sim { grid, threads } => eprintln!(
+                "simulated {} cores ({grid}x{grid} grid, {threads} threads/process); modeled time {ms:.3} ms",
+                grid * grid * threads
+            ),
+            Backend::Engine { p, threads } => {
+                eprintln!("engine: {p} ranks x {threads} threads; modeled time {ms:.3} ms")
+            }
+            Backend::Shared { p, threads } => eprintln!(
+                "shared: {p} logical ranks x {threads} threads (fused arena); modeled time {ms:.3} ms"
+            ),
+        }
     }
-    let a = match g {
-        Graph::Triples(t) => t.to_csc(),
-        Graph::View(v) => v.to_csc(),
-    };
-    let matching = match algo {
-        "hk" => hopcroft_karp(&a, None),
-        "pf" => pothen_fan(&a, None),
-        "pr" => push_relabel(&a),
-        "msbfs" => ms_bfs_serial(&a, None).0,
-        "graft" => ms_bfs_graft(&a, None).0,
-        other => return Err(format!("unknown algorithm: {other}")),
-    };
-    let label = match algo {
-        "hk" => "hk",
-        "pf" => "pf",
-        "pr" => "pr",
-        "msbfs" => "msbfs-serial",
-        _ => "graft",
-    };
-    Ok(DistRun { matching, modeled: Vec::new(), algo: label, auto: false })
+    let modeled = timers.breakdown().into_iter().map(|(k, s, c)| (k.name(), s, c)).collect();
+    Ok(Run { matching: r.matching, modeled, algo: r.stats.algo, auto: r.stats.algo_auto })
 }
 
 /// `mcm match --weighted`: maximum *weight* matching through the
@@ -406,19 +287,13 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     }
     let path = positional(args).ok_or("missing input file")?;
     let input = load_input(path)?;
-    let g = match &input {
-        Input::Mtx(t) => Graph::Triples(t),
-        Input::Mcsb(f) => Graph::View(f.view()),
-    };
+    let v = input.view();
     let algo = opt(args, "--algo").unwrap_or("dist");
-    let backend = opt(args, "--backend").unwrap_or("sim");
     let grid: usize = opt(args, "--grid").unwrap_or("2").parse().map_err(|_| "bad --grid")?;
     let ranks: usize = opt(args, "--ranks").unwrap_or("4").parse().map_err(|_| "bad --ranks")?;
     let threads: usize =
         opt(args, "--threads").unwrap_or("4").parse().map_err(|_| "bad --threads")?;
-    if grid == 0 || threads == 0 {
-        return Err("--grid and --threads must be at least 1".into());
-    }
+    let backend = Backend::parse(opt(args, "--backend").unwrap_or("sim"), grid, ranks, threads)?;
     let breakdown = args.iter().any(|a| a == "--breakdown");
     let trace_out = opt(args, "--trace-out");
     if (breakdown || trace_out.is_some()) && algo != "dist" {
@@ -428,8 +303,7 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
         mcm_obs::enable_tracing(true);
         drop(mcm_obs::take_trace()); // start the run from an empty sink
     }
-    let DistRun { matching: m, modeled, algo: ran, auto } =
-        compute(&g, algo, backend, grid, ranks, threads)?;
+    let Run { matching: m, modeled, algo: ran, auto } = compute(&v, algo, backend, threads)?;
     if breakdown || trace_out.is_some() {
         mcm_obs::enable_tracing(false);
         let trace = mcm_obs::take_trace();
@@ -445,26 +319,17 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
     }
     // Berge-certify the result against the graph as loaded — for MCSB that
     // means against the mapped pages themselves, no owned copy.
-    match &g {
-        Graph::Triples(t) => {
-            let a = t.to_csc();
-            m.validate(&a).map_err(|e| format!("internal error, invalid matching: {e}"))?;
-            assert!(is_maximum(&a, &m), "internal error: matching not maximum");
-        }
-        Graph::View(v) => {
-            verify_view(v, &m).map_err(|e| format!("internal error: {e}"))?;
-        }
-    }
+    verify_view(&v, &m).map_err(|e| format!("internal error: {e}"))?;
     println!(
         "maximum matching: {} of {} columns ({} rows) matched",
         m.cardinality(),
-        g.ncols(),
-        g.nrows()
+        v.ncols(),
+        v.nrows()
     );
     println!("algo: {ran}{}", if auto { " (selected by auto)" } else { "" });
     if let Some(out) = opt(args, "--out") {
         let mut body = String::new();
-        for c in 0..g.ncols() as Vidx {
+        for c in 0..v.ncols() as Vidx {
             let r = m.mate_c.get(c);
             if r != NIL {
                 body.push_str(&format!("{} {}\n", r + 1, c + 1));
@@ -477,31 +342,29 @@ fn cmd_match(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_permute(args: &[String]) -> Result<(), String> {
-    let t = load(args)?;
-    if t.nrows() != t.ncols() {
+    let a = load(args)?;
+    if a.nrows() != a.ncols() {
         return Err("permute requires a square matrix".into());
     }
     let out = opt(args, "--out").ok_or("missing --out")?;
-    let a = t.to_csc();
     let m = hopcroft_karp(&a, None);
-    if m.cardinality() != t.ncols() {
+    if m.cardinality() != a.ncols() {
         return Err(format!(
             "matrix is structurally singular: maximum matching covers only {} of {} columns",
             m.cardinality(),
-            t.ncols()
+            a.ncols()
         ));
     }
-    let forward: Vec<Vidx> = (0..t.nrows() as Vidx).map(|i| m.mate_r.get(i)).collect();
+    let forward: Vec<Vidx> = (0..a.nrows() as Vidx).map(|i| m.mate_r.get(i)).collect();
     let perm = Permutation::from_forward(forward);
-    let pt = permute_triples(&t, &perm, &Permutation::identity(t.ncols()));
+    let pt = permute_triples(&a.to_triples(), &perm, &Permutation::identity(a.ncols()));
     write_matrix_market_file(&pt, out).map_err(|e| format!("{out}: {e}"))?;
     println!("wrote row-permuted matrix with zero-free diagonal to {out}");
     Ok(())
 }
 
 fn cmd_dm(args: &[String]) -> Result<(), String> {
-    let t = load(args)?;
-    let a = t.to_csc();
+    let a = load(args)?;
     let m = hopcroft_karp(&a, None);
     let dm = dulmage_mendelsohn(&a, &m);
     println!("maximum matching: {}", m.cardinality());
@@ -520,17 +383,16 @@ fn cmd_dm(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_btf(args: &[String]) -> Result<(), String> {
-    let t = load(args)?;
-    if t.nrows() != t.ncols() {
+    let a = load(args)?;
+    if a.nrows() != a.ncols() {
         return Err("btf requires a square matrix".into());
     }
-    let a = t.to_csc();
     let m = hopcroft_karp(&a, None);
-    if m.cardinality() != t.ncols() {
+    if m.cardinality() != a.ncols() {
         return Err(format!(
             "structurally singular: rank {} of {} (try `mcm dm`)",
             m.cardinality(),
-            t.ncols()
+            a.ncols()
         ));
     }
     let btf = mcm_core::btf::block_triangular_form(&a, &m);

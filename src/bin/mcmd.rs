@@ -44,8 +44,9 @@
 //! command. `--trace-out` additionally records spans for the whole
 //! session and writes a `chrome://tracing` JSON file at exit.
 
+use mcm_bsp::Backend;
 use mcm_core::MatchingAlgo;
-use mcm_dyn::{DynMatching, DynOptions, FallbackBackend, WDynMatching, WDynOptions, WUpdate};
+use mcm_dyn::{DynMatching, DynOptions, WDynMatching, WDynOptions, WUpdate};
 use mcm_serve::proto::{parse_command, verb_of, Command, LineFramer};
 use mcm_serve::{format_stats_line, format_wstats_line, Server, ServerConfig};
 use mcm_sparse::io::{
@@ -89,11 +90,11 @@ usage:
                         (msbfs, default), parallel Pothen-Fan (ppf), the
                         eps-scaled auction (auction), or a per-fallback
                         measured pick (auto)
-  --backend b           run fallback recomputes on the serial cost-model
+  --backend b           run fallback recomputes on the single-process cost-model
                         simulator (sim, default), the real thread-per-rank
                         mesh (engine), or the shared-memory arena (shared)
   --ranks p             engine/shared: rank count, a perfect square (default 4)
-  --threads t           engine/shared: worker threads per rank (default 1)
+  --threads t           worker threads per rank (default 1)
   --trace-out file      record spans; write chrome://tracing JSON at exit
   --full-verify         re-verify the full matching after every batch
   --quiet               suppress per-batch report lines (stdin mode)
@@ -166,28 +167,12 @@ fn run(args: &[String]) -> Result<(), String> {
             None => Ok(default),
         }
     };
-    let backend = match opt(args, "--backend") {
-        None | Some("sim") => FallbackBackend::Simulator,
-        Some(kind @ ("engine" | "shared")) => {
-            let p = parse_usize(opt(args, "--ranks"), "--ranks", 4)?;
-            let dim = (p as f64).sqrt().round() as usize;
-            if p == 0 || dim * dim != p {
-                return Err(format!("--ranks must be a positive perfect square, got {p}"));
-            }
-            let threads = parse_usize(opt(args, "--threads"), "--threads", 1)?;
-            if threads == 0 {
-                return Err("--threads must be positive".to_string());
-            }
-            if kind == "engine" {
-                FallbackBackend::Engine { p, threads }
-            } else {
-                FallbackBackend::Shared { p, threads }
-            }
-        }
-        Some(other) => {
-            return Err(format!("bad --backend value: {other} (want sim|engine|shared)"))
-        }
-    };
+    let backend = Backend::parse(
+        opt(args, "--backend").unwrap_or("sim"),
+        1,
+        parse_usize(opt(args, "--ranks"), "--ranks", 4)?,
+        parse_usize(opt(args, "--threads"), "--threads", 1)?,
+    )?;
     let algo: MatchingAlgo = match opt(args, "--algo") {
         Some(s) => s.parse()?,
         None => MatchingAlgo::MsBfs,

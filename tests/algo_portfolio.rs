@@ -5,13 +5,26 @@
 //! `verify::is_maximum_from`.
 
 use mcm_core::auction::{auction, AuctionOptions};
-use mcm_core::portfolio::{resolve_algo, solve, MatchingAlgo, PortfolioOptions, SelectorStats};
+use mcm_core::portfolio::{self, MatchingAlgo, PortfolioOptions, SelectorStats};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify;
+use mcm_core::{McmResult, SolverPool};
 use mcm_gen::hard::{chain, star};
 use mcm_gen::simtest_suite;
 use mcm_sparse::permute::{random_relabel, SplitMix64};
 use mcm_sparse::{Triples, Vidx};
+
+fn measure(t: &Triples) -> SelectorStats {
+    SelectorStats::measure(&t.to_csc().view())
+}
+
+fn resolve_algo(t: &Triples, algo: MatchingAlgo) -> (MatchingAlgo, Option<SelectorStats>) {
+    portfolio::resolve_algo(&t.to_csc().view(), algo)
+}
+
+fn solve(t: &Triples, opts: &PortfolioOptions) -> McmResult {
+    portfolio::solve(&t.to_csc().view(), None, &mut SolverPool::new(), opts).0
+}
 
 fn random_bipartite(n1: usize, n2: usize, edges: usize, seed: u64) -> Triples {
     let mut rng = SplitMix64::new(seed);
@@ -32,11 +45,11 @@ fn selector_stats_are_deterministic_and_permutation_invariant() {
         let n1 = 4 + rng.below(40) as usize;
         let n2 = 4 + rng.below(40) as usize;
         let t = random_bipartite(n1, n2, 3 * (n1 + n2), rng.next_u64());
-        let s = SelectorStats::measure(&t);
-        assert_eq!(s, SelectorStats::measure(&t), "case {case}: re-measure diverged");
+        let s = measure(&t);
+        assert_eq!(s, measure(&t), "case {case}: re-measure diverged");
         for perm_seed in [1u64, 0xFEED, 0xABCDEF] {
             let (pt, _, _) = random_relabel(&t, perm_seed);
-            let ps = SelectorStats::measure(&pt);
+            let ps = measure(&pt);
             assert_eq!(s, ps, "case {case} seed {perm_seed:#x}: stats moved under relabeling");
             assert_eq!(s.choose(), ps.choose(), "case {case}: pick moved under relabeling");
         }

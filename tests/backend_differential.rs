@@ -17,13 +17,11 @@
 //! cross-algorithm matrix to a comma-separated subset (the CI algo
 //! dimension).
 
-use mcm_bsp::{DistCtx, MachineConfig};
+use mcm_bsp::{Backend, DistCtx, EngineComm, MachineConfig, SharedComm};
 use mcm_core::augment::AugmentMode;
 use mcm_core::maximal::Initializer;
-use mcm_core::mcm::{
-    maximum_matching, maximum_matching_engine, maximum_matching_shared, McmOptions,
-};
-use mcm_core::portfolio::{solve, MatchingAlgo, PortfolioBackend, PortfolioOptions};
+use mcm_core::mcm::{maximum_matching, maximum_matching_pooled, McmOptions, SolverPool};
+use mcm_core::portfolio::{solve, MatchingAlgo, PortfolioOptions};
 use mcm_core::serial::hopcroft_karp;
 use mcm_core::verify;
 use mcm_gen::simtest_suite;
@@ -65,8 +63,8 @@ fn all_three_backends_produce_identical_matchings_across_the_suite() {
                     let opts = McmOptions { init, augment, ..McmOptions::default() };
                     let mut ctx = DistCtx::new(MachineConfig::hybrid(dim, 1));
                     let sim = maximum_matching(&mut ctx, t, &opts);
-                    let eng = maximum_matching_engine(p, threads, t, &opts);
-                    let shr = maximum_matching_shared(p, threads, t, &opts);
+                    let eng = maximum_matching(&mut EngineComm::new(p, threads), t, &opts);
+                    let shr = maximum_matching(&mut SharedComm::new(p, threads), t, &opts);
                     let tag =
                         format!("{name} p={p} threads={threads} init={init:?} augment={augment:?}");
                     assert_eq!(
@@ -139,9 +137,9 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
                 match algo {
                     MatchingAlgo::MsBfs => {
                         let backends = [
-                            PortfolioBackend::Sim { grid: dim, threads: 1 },
-                            PortfolioBackend::Engine { p, threads: 1 },
-                            PortfolioBackend::Shared { p, threads: 1 },
+                            Backend::Sim { grid: dim, threads: 1 },
+                            Backend::Engine { p, threads: 1 },
+                            Backend::Shared { p, threads: 1 },
                         ];
                         let results: Vec<_> = backends
                             .iter()
@@ -151,7 +149,7 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
                                     backend,
                                     ..PortfolioOptions::default()
                                 };
-                                solve(t, &opts)
+                                solve(&a.view(), None, &mut SolverPool::new(), &opts).0
                             })
                             .collect();
                         for (r, backend) in results.iter().zip(backends) {
@@ -181,7 +179,7 @@ fn cross_algorithm_matrix_agrees_with_the_oracle() {
                                     seed: suite_seed ^ p as u64,
                                     ..PortfolioOptions::default()
                                 };
-                                solve(t, &opts)
+                                solve(&a.view(), None, &mut SolverPool::new(), &opts).0
                             })
                             .collect();
                         for (r, threads) in results.iter().zip([1usize, p]) {
@@ -232,12 +230,14 @@ fn engine_backend_warm_start_matches_simulator() {
         mcm_core::maximal::greedy(&mut ctx, &am)
     };
 
+    let v = a.view();
+    let warm = Some(stale);
     let mut ctx = DistCtx::new(MachineConfig::hybrid(2, 1));
-    let sim = mcm_core::mcm::maximum_matching_from(&mut ctx, t, stale.clone(), &opts);
-    let mut comm = mcm_bsp::EngineComm::new(4, threads);
-    let eng = mcm_core::mcm::maximum_matching_from(&mut comm, t, stale.clone(), &opts);
-    let mut shc = mcm_bsp::SharedComm::new(4, threads);
-    let shr = mcm_core::mcm::maximum_matching_from(&mut shc, t, stale, &opts);
+    let sim = maximum_matching_pooled(&mut ctx, &v, warm.clone(), &opts, &mut SolverPool::new());
+    let mut comm = EngineComm::new(4, threads);
+    let eng = maximum_matching_pooled(&mut comm, &v, warm.clone(), &opts, &mut SolverPool::new());
+    let mut shc = SharedComm::new(4, threads);
+    let shr = maximum_matching_pooled(&mut shc, &v, warm, &opts, &mut SolverPool::new());
     assert_eq!(sim.matching, eng.matching, "warm-started {name} diverged (engine)");
     assert_eq!(sim.matching, shr.matching, "warm-started {name} diverged (shared)");
     verify::verify(&a, &eng.matching).unwrap();

@@ -332,6 +332,31 @@ fn mcmd_rejects_bad_backend_flags() {
 }
 
 #[test]
+fn match_rejects_non_square_ranks_on_every_algo() {
+    // Rank validation used to live in the `--algo dist` branch only; the
+    // portfolio algorithms handed a bad shape to the communicator, which
+    // panicked.
+    let file = tmp("ranks_road.mtx");
+    assert!(mcm()
+        .args(["gen", "road", "--scale", "8", "--out"])
+        .arg(&file)
+        .status()
+        .unwrap()
+        .success());
+    for flags in [
+        ["--algo", "auto", "--backend", "engine", "--ranks", "3"],
+        ["--algo", "auto", "--backend", "shared", "--ranks", "0"],
+    ] {
+        let out = mcm().arg("match").arg(&file).args(flags).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flags:?} should fail");
+        assert_ne!(out.status.code(), Some(101), "{flags:?} panicked: {err}");
+        assert!(err.contains("--ranks must be a positive perfect square"), "{flags:?}: {err}");
+        assert!(!err.contains("panicked"), "{flags:?}: {err}");
+    }
+}
+
+#[test]
 fn match_breakdown_prints_measured_vs_modeled() {
     let file = tmp("breakdown.mtx");
     assert!(mcm()

@@ -5,6 +5,8 @@
 //! `maximum_matching_*_view` produces the *identical* matching the owned
 //! triples path produces.
 
+use mcm_bsp::{EngineComm, SharedComm};
+use mcm_core::mcm::{maximum_matching, maximum_matching_view};
 use mcm_core::verify::{is_maximum_view, verify_view};
 use mcm_core::McmOptions;
 use mcm_gen::{assign_weights, simtest_suite};
@@ -227,7 +229,7 @@ fn view_solves_match_triples_solves_across_the_suite() {
     let opts = McmOptions::default();
     for (name, mut t) in simtest_suite(0xCA11) {
         t.sort_dedup();
-        let want = mcm_core::mcm::maximum_matching_shared(4, 2, &t, &opts);
+        let want = maximum_matching(&mut SharedComm::new(4, 2), &t, &opts);
         let p = tmp(&format!("diff_{name}"));
         write_csc_file(&p, &t.to_csc()).unwrap();
 
@@ -239,12 +241,12 @@ fn view_solves_match_triples_solves_across_the_suite() {
 
         for (backing, file) in [("mmap", &mapped), ("heap", &heap)] {
             let v = file.view();
-            let shared = mcm_core::mcm::maximum_matching_shared_view(4, 2, &v, &opts);
+            let shared = maximum_matching_view(&mut SharedComm::new(4, 2), &v, &opts);
             assert_eq!(
                 shared.matching, want.matching,
                 "{name}/{backing}: shared view != owned triples"
             );
-            let engine = mcm_core::mcm::maximum_matching_engine_view(4, 2, &v, &opts);
+            let engine = maximum_matching_view(&mut EngineComm::new(4, 2), &v, &opts);
             assert_eq!(
                 engine.matching, want.matching,
                 "{name}/{backing}: engine view != owned triples"
