@@ -183,33 +183,21 @@ pub struct DynStats {
     pub last: BatchReport,
 }
 
-/// An immutable, self-contained copy of the engine's state — what the
-/// `mcm-serve` daemon publishes after each applied batch so reads
-/// (`query`/`stats`/`snapshot`) are served without blocking behind the
-/// writer. Cloning the graph is an O(nnz) memcpy of the frozen CSC plus
-/// the (small, recently-compacted) overlays; the matching itself is not
-/// carried — `cardinality` is the serving-relevant scalar, and the full
-/// mate vectors stay private to the writer.
+/// The scalars the `mcm-serve` daemon publishes after each applied
+/// batch, so reads (`query`/`state`/`stats`) are served without blocking
+/// behind the writer. Building one is O(1): the graph and the mate
+/// vectors stay private to the writer, and a `snapshot <path>` request
+/// gets its edge copy from the writer as a barrier instead.
 #[derive(Clone, Debug)]
 pub struct StateSnapshot {
-    /// The graph as of publication (epoch queryable via `graph.epoch()`).
-    pub graph: DynGraph,
     /// Cumulative engine counters as of publication.
     pub stats: DynStats,
     /// Matching cardinality as of publication.
     pub cardinality: usize,
-}
-
-impl StateSnapshot {
-    /// Overlay-compaction epoch at publication.
-    pub fn epoch(&self) -> u64 {
-        self.graph.epoch()
-    }
-
-    /// Live edge count at publication.
-    pub fn nnz(&self) -> usize {
-        self.graph.nnz()
-    }
+    /// Live edge count as of publication.
+    pub nnz: usize,
+    /// Overlay-compaction epoch as of publication.
+    pub epoch: u64,
 }
 
 /// A dynamic bipartite graph with an always-maximum matching.
@@ -229,6 +217,9 @@ impl StateSnapshot {
 pub struct DynMatching {
     g: DynGraph,
     m: Matching,
+    /// `m.cardinality()`, kept current by each batch's tallies so that
+    /// neither a batch nor a reader pays the O(n) count.
+    card: usize,
     opts: DynOptions,
     stats: DynStats,
     // Generation-stamped BFS scratch (mirrors the SpMSpV workspace SPA:
@@ -272,6 +263,7 @@ impl DynMatching {
         let (n1, n2) = (g.n1(), g.n2());
         Self {
             g,
+            card: m.cardinality(),
             m,
             opts,
             stats: DynStats::default(),
@@ -305,7 +297,7 @@ impl DynMatching {
     /// Current matching cardinality.
     #[inline]
     pub fn cardinality(&self) -> usize {
-        self.m.cardinality()
+        self.card
     }
 
     /// Cumulative counters.
@@ -314,12 +306,13 @@ impl DynMatching {
         &self.stats
     }
 
-    /// An immutable copy of the published state (see [`StateSnapshot`]).
+    /// The published scalars (see [`StateSnapshot`]); O(1).
     pub fn snapshot_state(&self) -> StateSnapshot {
         StateSnapshot {
-            graph: self.g.clone(),
             stats: self.stats.clone(),
-            cardinality: self.m.cardinality(),
+            cardinality: self.card,
+            nnz: self.g.nnz(),
+            epoch: self.g.epoch(),
         }
     }
 
@@ -441,7 +434,16 @@ impl DynMatching {
                 assert!(clean, "dirty-region Berge certificate failed after repair");
             }
         }
-        rep.cardinality = self.m.cardinality();
+        // Each augmenting path adds one matched edge, so outside the
+        // fallback (which replaces the matching) the batch's own tallies
+        // give the new count.
+        self.card = if rep.fallback {
+            self.m.cardinality()
+        } else {
+            self.card + rep.immediate_matches + rep.repaired - rep.matched_deletes
+        };
+        debug_assert_eq!(self.card, self.m.cardinality());
+        rep.cardinality = self.card;
 
         if self.opts.full_verify {
             self.verify_full().expect("full per-batch verification failed");
@@ -658,6 +660,18 @@ mod tests {
         let r = dm.apply_batch(&[Update::Insert(0, 0), Update::Insert(1, 1), Update::Insert(2, 2)]);
         assert_eq!(r.immediate_matches, 3);
         assert_eq!(dm.cardinality(), 3);
+    }
+
+    #[test]
+    fn snapshot_carries_the_published_scalars() {
+        let t = Triples::from_edges(2, 2, vec![(0, 0), (0, 1), (1, 0)]);
+        let mut dm = DynMatching::from_triples(&t, opts());
+        let snap = dm.snapshot_state();
+        dm.apply_batch(&[Update::Delete(1, 0)]);
+        assert_eq!((snap.cardinality, snap.nnz, snap.stats.batches), (2, 3, 0));
+        let now = dm.snapshot_state();
+        assert_eq!((now.cardinality, now.nnz, now.stats.batches), (1, 2, 1));
+        assert_eq!(now.epoch, dm.graph().epoch());
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   batch only re-auctions the columns whose ε-complementary-slackness
 //!   it actually violated (cold parallel ε-scaled solve above a dirty
 //!   threshold);
-//! * [`StateSnapshot`] — an immutable copy of the engine's published
-//!   state, the unit of snapshot isolation in the `mcm-serve` daemon
-//!   (which also owns the `mcmd` line protocol, in `mcm_serve::proto`).
+//! * [`StateSnapshot`] — the O(1) scalars (cardinality, nnz, epoch,
+//!   counters) the `mcm-serve` daemon publishes after each batch, the
+//!   unit of snapshot isolation there (`mcm-serve` also owns the `mcmd`
+//!   line protocol, in `mcm_serve::proto`).
 //!
 //! Every batch ends certified: a Berge check seeded at the batch's dirty
 //! region (or a full sweep when the repair itself had to go global).

@@ -119,30 +119,21 @@ pub struct WDynStats {
     pub last: WBatchReport,
 }
 
-/// A consistent copy of the weighted engine state (graph + matching
-/// weight + counters), cheap enough to publish per batch from a server.
+/// The scalars the `mcm-serve` daemon publishes after each weighted
+/// batch: counters, cardinality, weight, live edge count and epoch.
+/// Building one is O(1); the graph stays private to the writer.
 #[derive(Clone, Debug)]
 pub struct WStateSnapshot {
-    /// The weighted graph at snapshot time.
-    pub graph: WCscOverlay,
     /// Counters at snapshot time.
     pub stats: WDynStats,
     /// Matching cardinality at snapshot time.
     pub cardinality: usize,
     /// Matching weight at snapshot time.
     pub weight: f64,
-}
-
-impl WStateSnapshot {
-    /// Compaction epoch of the snapshotted graph.
-    pub fn epoch(&self) -> u64 {
-        self.graph.epoch()
-    }
-
-    /// Live edge count of the snapshotted graph.
-    pub fn nnz(&self) -> usize {
-        self.graph.nnz()
-    }
+    /// Live edge count at snapshot time.
+    pub nnz: usize,
+    /// Compaction epoch of the column overlay at snapshot time.
+    pub epoch: u64,
 }
 
 const TOL: f64 = 1e-12;
@@ -180,6 +171,9 @@ pub struct WDynMatching {
     opts: WDynOptions,
     stats: WDynStats,
     weight: f64,
+    /// `m.cardinality()` (an O(n) count), taken once per batch so that
+    /// readers of the cardinality pay O(1).
+    card: usize,
 }
 
 impl WDynMatching {
@@ -194,6 +188,7 @@ impl WDynMatching {
             opts,
             stats: WDynStats::default(),
             weight: 0.0,
+            card: 0,
         }
     }
 
@@ -224,6 +219,7 @@ impl WDynMatching {
         wm.rows = rows;
         wm.cold_solve();
         wm.weight = wm.recompute_weight();
+        wm.card = wm.m.cardinality();
         wm
     }
 
@@ -234,7 +230,7 @@ impl WDynMatching {
 
     /// Current matching cardinality.
     pub fn cardinality(&self) -> usize {
-        self.m.cardinality()
+        self.card
     }
 
     /// Current matching weight.
@@ -272,13 +268,14 @@ impl WDynMatching {
         self.cols.epoch()
     }
 
-    /// A consistent copy of the engine state for publication.
+    /// The published scalars (see [`WStateSnapshot`]); O(1).
     pub fn snapshot_state(&self) -> WStateSnapshot {
         WStateSnapshot {
-            graph: self.cols.clone(),
             stats: self.stats.clone(),
-            cardinality: self.m.cardinality(),
+            cardinality: self.card,
             weight: self.weight,
+            nnz: self.nnz(),
+            epoch: self.epoch(),
         }
     }
 
@@ -400,6 +397,7 @@ impl WDynMatching {
         rep.weight = self.weight;
         rep.weight_delta = self.weight - weight_before;
         rep.cardinality = self.m.cardinality();
+        self.card = rep.cardinality;
         self.maybe_compact();
         if self.opts.full_verify {
             self.verify_full().expect("post-batch eps-CS certificate");
@@ -672,7 +670,7 @@ mod tests {
         let snap = wm.snapshot_state();
         wm.apply_batch(&[WUpdate::Insert(1, 1, 9.0)]);
         assert_eq!(snap.weight, 4.0);
-        assert_eq!(snap.nnz(), 1);
+        assert_eq!(snap.nnz, 1);
         assert_eq!(wm.weight(), 13.0);
     }
 }

@@ -11,10 +11,13 @@
 //!   thread per connection, a single writer thread applying admitted
 //!   updates in bounded batches (size + latency watermarks, `busy`
 //!   backpressure), and **lock-free-published snapshots** so
-//!   `query`/`state`/`stats`/`snapshot` never block behind a repair (or
-//!   each other). Serves either engine: maximum cardinality or, with
-//!   `mcmd --weighted`, maximum weight (`insert u v [w]`, weight-carrying
-//!   `query`/`stats`);
+//!   `query`/`state`/`stats` never block behind a repair (or each
+//!   other). A snapshot carries scalars only (cardinality, nnz, epoch,
+//!   counters, weight), so publishing one is O(1) per batch;
+//!   `snapshot <path>` is a writer barrier like `sync`, and the only
+//!   request that copies the graph. Serves either engine: maximum
+//!   cardinality or, with `mcmd --weighted`, maximum weight
+//!   (`insert u v [w]`, weight-carrying `query`/`stats`);
 //! * [`swap`] — [`SwapCell`], the wait-free-read `Arc` publication cell
 //!   behind the snapshot path (external reader counting, no read-side
 //!   locks);

@@ -6,13 +6,19 @@
 //!
 //! The writer is the only thread that touches the engine. After every
 //! applied batch it publishes `Arc<Published>` — a writer sequence
-//! number plus an engine snapshot (graph clone + counters + cardinality,
-//! and in weighted mode the matching weight) — through a [`SwapCell`].
-//! `query`/`state`/`stats`/`snapshot` readers grab the current `Arc`
+//! number plus the engine's scalars (counters, cardinality, live edge
+//! count, overlay epoch, and in weighted mode the matching weight) —
+//! through a [`SwapCell`]. Publication copies no graph, so it is O(1)
+//! per batch. `query`/`state`/`stats` readers grab the current `Arc`
 //! wait-free and answer from it: a read issued mid-repair sees the
 //! pre-batch snapshot, never waits for the repair to finish, and — since
 //! the swap cell replaced the old mutex-guarded `Arc` — never contends
 //! on a lock with other readers either.
+//!
+//! `snapshot <path>` needs the edges themselves, so it is a writer
+//! barrier like `sync` (below): the writer copies the live edge set
+//! after publishing, and the connection worker writes the Matrix Market
+//! file off the writer thread.
 //!
 //! ## Engines
 //!
@@ -34,12 +40,15 @@
 //! ([`ServerConfig::queue_cap`]). The writer coalesces admitted updates
 //! into one repair batch per wake-up, closing the batch at either
 //! watermark: [`ServerConfig::max_batch`] updates (size) or
-//! [`ServerConfig::max_delay`] since the batch opened (latency). When
-//! the queue is full the connection worker answers `busy` immediately —
-//! explicit backpressure instead of unbounded buffering — and the client
-//! retries. `sync` is a barrier: it rides the same queue, closes the
-//! open batch, and is acked only after everything admitted before it has
-//! been applied *and published*.
+//! [`ServerConfig::max_delay`] since the batch opened (latency). While a
+//! batch is open the writer sleeps rather than waking for each update;
+//! a barrier or a full batch unparks it. When the queue is full the
+//! connection worker answers `busy` immediately — explicit backpressure
+//! instead of unbounded buffering — and the client retries. `sync` is a
+//! barrier: it rides the same queue, closes the open batch, and is acked
+//! only after everything admitted before it has been applied *and
+//! published*. `snapshot` is the same barrier, acked with an owned copy
+//! of the live edges as of that publication.
 //!
 //! ## Shutdown
 //!
@@ -54,12 +63,13 @@ use mcm_dyn::{
     DynMatching, DynStats, StateSnapshot, Update, WDynMatching, WDynStats, WStateSnapshot, WUpdate,
 };
 use mcm_sparse::io::{write_matrix_market_file, write_matrix_market_weighted_file};
+use mcm_sparse::{Triples, Vidx};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::mpsc::{self, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -139,6 +149,15 @@ impl Engine {
         }
     }
 
+    /// An owned copy of the live edge set: O(nnz), run only for a
+    /// pending `snapshot` request.
+    fn edges(&self) -> Edges {
+        match self {
+            Engine::Card(dm) => Edges::Card(dm.graph().to_triples()),
+            Engine::Weighted(wm) => Edges::Weighted(wm.graph().to_weighted_triples()),
+        }
+    }
+
     fn dims(&self) -> (usize, usize) {
         match self {
             Engine::Card(dm) => (dm.graph().n1(), dm.graph().n2()),
@@ -198,16 +217,16 @@ impl Snap {
     /// Live edge count at publish time.
     pub fn nnz(&self) -> usize {
         match self {
-            Snap::Card(s) => s.nnz(),
-            Snap::Weighted(s) => s.nnz(),
+            Snap::Card(s) => s.nnz,
+            Snap::Weighted(s) => s.nnz,
         }
     }
 
     /// Overlay compaction epoch at publish time.
     pub fn epoch(&self) -> u64 {
         match self {
-            Snap::Card(s) => s.epoch(),
-            Snap::Weighted(s) => s.epoch(),
+            Snap::Card(s) => s.epoch,
+            Snap::Weighted(s) => s.epoch,
         }
     }
 }
@@ -216,7 +235,7 @@ impl Snap {
 pub struct Published {
     /// Batches applied-and-published so far (0 = the initial state).
     pub seq: u64,
-    /// Immutable engine state as of `seq`.
+    /// The engine's scalars as of `seq`.
     pub snap: Snap,
 }
 
@@ -293,8 +312,16 @@ pub fn format_wstats_line(
 
 enum WriterMsg {
     Update(WUpdate),
-    /// Barrier: acked with the post-publication sequence + cardinality.
+    Barrier(Barrier),
+}
+
+/// A barrier the writer acks after applying and publishing everything
+/// admitted before it.
+enum Barrier {
+    /// `sync`: acked with the post-publication sequence + cardinality.
     Sync(mpsc::Sender<SyncAck>),
+    /// `snapshot`: acked with a copy of the edges as of that publication.
+    Snapshot(mpsc::Sender<Edges>),
 }
 
 struct SyncAck {
@@ -302,17 +329,32 @@ struct SyncAck {
     cardinality: usize,
 }
 
+/// The live edge set, copied by the writer for a `snapshot` request.
+enum Edges {
+    Card(Triples),
+    Weighted(Vec<(Vidx, Vidx, f64)>),
+}
+
 struct Shared {
     /// Lock-free snapshot cell: the read path never takes a mutex.
     published: SwapCell<Published>,
-    /// Updates admitted but not yet absorbed by the writer.
+    /// Updates admitted but not yet in a closed batch: queued, or held
+    /// in the writer's open batch.
     queue_depth: AtomicUsize,
+    /// The `mcmd_queue_depth` gauge, looked up once: a registry lookup
+    /// takes a lock the writer and every worker would share per update.
+    queue_gauge: mcm_obs::Gauge,
     /// Live connections (drives the `mcmd_connections` gauge).
     connections: AtomicUsize,
     /// Set by [`Server::shutdown`]/[`Server::finish`].
     stop: AtomicBool,
     /// Set by a client's `shutdown` verb; [`Server::join`] watches it.
     shutdown_verb: AtomicBool,
+    /// The writer thread, unparked by a barrier or the update that fills
+    /// the open batch.
+    writer: OnceLock<std::thread::Thread>,
+    /// [`ServerConfig::max_batch`], the size watermark.
+    max_batch: usize,
     /// Whether the writer owns the weighted engine (shapes responses).
     weighted: bool,
     /// Configured fallback engine name, for the `stats` response.
@@ -326,6 +368,18 @@ impl Shared {
 
     fn published(&self) -> Arc<Published> {
         self.published.load()
+    }
+
+    fn wake_writer(&self) {
+        if let Some(t) = self.writer.get() {
+            t.unpark();
+        }
+    }
+
+    fn set_queue_gauge(&self, depth: usize) {
+        if mcm_obs::metrics_enabled() {
+            self.queue_gauge.set(depth as f64);
+        }
     }
 }
 
@@ -364,9 +418,12 @@ impl Server {
         let shared = Arc::new(Shared {
             published: SwapCell::new(Arc::new(Published { seq: 0, snap: engine.snapshot() })),
             queue_depth: AtomicUsize::new(0),
+            queue_gauge: mcm_obs::registry().gauge("mcmd_queue_depth", &[]),
             connections: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             shutdown_verb: AtomicBool::new(false),
+            writer: OnceLock::new(),
+            max_batch: cfg.max_batch,
             weighted: matches!(engine, Engine::Weighted(_)),
             algo_name: engine.algo_name(),
         });
@@ -378,6 +435,7 @@ impl Server {
                 .name("mcmd-writer".into())
                 .spawn(move || writer_loop(engine, rx, shared, cfg))?
         };
+        shared.writer.set(writer.thread().clone()).ok();
         let acceptor = {
             let shared = shared.clone();
             let tx = tx.clone();
@@ -428,6 +486,7 @@ impl Server {
             a.join().expect("acceptor thread panicked");
         }
         drop(self.tx.take());
+        self.shared.wake_writer();
         self.writer.take().expect("server already finished").join().expect("writer panicked")
     }
 }
@@ -440,62 +499,52 @@ fn writer_loop(
 ) -> Engine {
     let mut seq = 0u64;
     let mut batch: Vec<WUpdate> = Vec::new();
-    let mut syncs: Vec<mpsc::Sender<SyncAck>> = Vec::new();
+    let mut barriers: Vec<Barrier> = Vec::new();
     loop {
         let Ok(first) = rx.recv() else { break };
-        let opened = Instant::now();
-        absorb(first, &mut batch, &mut syncs, &shared);
-        // A sync closes the batch immediately: its ack must cover exactly
-        // what was admitted before it.
-        if syncs.is_empty() {
-            let deadline = opened + cfg.max_delay;
-            while batch.len() < cfg.max_batch {
-                let Some(left) = deadline.checked_duration_since(Instant::now()) else { break };
-                match rx.recv_timeout(left) {
-                    Ok(msg) => {
-                        absorb(msg, &mut batch, &mut syncs, &shared);
-                        if !syncs.is_empty() {
-                            break;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+        let deadline = Instant::now() + cfg.max_delay;
+        absorb(first, &mut batch, &mut barriers);
+        // Linger until the latency watermark. A barrier closes the batch
+        // at once (its ack must cover exactly what was admitted before
+        // it) and a full batch closes it too; both unpark the writer. An
+        // update does not wake it, so admitting one costs the worker no
+        // wake-up syscall.
+        while barriers.is_empty() && batch.len() < cfg.max_batch {
+            match rx.try_recv() {
+                Ok(msg) => absorb(msg, &mut batch, &mut barriers),
+                Err(TryRecvError::Empty) => match deadline.checked_duration_since(Instant::now()) {
+                    Some(left) => std::thread::park_timeout(left),
+                    None => break,
+                },
+                Err(TryRecvError::Disconnected) => break,
             }
         }
-        seq = apply_and_publish(&mut engine, &mut batch, &mut syncs, seq, &shared, &cfg);
+        seq = apply_and_publish(&mut engine, &mut batch, &mut barriers, seq, &shared, &cfg);
     }
     // Senders are gone; everything queued was already delivered by the
     // draining recv() above. Apply any final partial batch.
-    apply_and_publish(&mut engine, &mut batch, &mut syncs, seq, &shared, &cfg);
+    apply_and_publish(&mut engine, &mut batch, &mut barriers, seq, &shared, &cfg);
     engine
 }
 
-fn absorb(
-    msg: WriterMsg,
-    batch: &mut Vec<WUpdate>,
-    syncs: &mut Vec<mpsc::Sender<SyncAck>>,
-    shared: &Shared,
-) {
+fn absorb(msg: WriterMsg, batch: &mut Vec<WUpdate>, barriers: &mut Vec<Barrier>) {
     match msg {
-        WriterMsg::Update(u) => {
-            batch.push(u);
-            let d = shared.queue_depth.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-            mcm_obs::gauge_set("mcmd_queue_depth", &[], d as f64);
-        }
-        WriterMsg::Sync(ack) => syncs.push(ack),
+        WriterMsg::Update(u) => batch.push(u),
+        WriterMsg::Barrier(b) => barriers.push(b),
     }
 }
 
 fn apply_and_publish(
     engine: &mut Engine,
     batch: &mut Vec<WUpdate>,
-    syncs: &mut Vec<mpsc::Sender<SyncAck>>,
+    barriers: &mut Vec<Barrier>,
     mut seq: u64,
     shared: &Shared,
     cfg: &ServerConfig,
 ) -> u64 {
     if !batch.is_empty() {
+        let d = shared.queue_depth.fetch_sub(batch.len(), Ordering::Relaxed) - batch.len();
+        shared.set_queue_gauge(d);
         if let Some(hook) = &cfg.on_apply {
             hook(batch);
         }
@@ -504,11 +553,20 @@ fn apply_and_publish(
         mcm_obs::observe_ns("mcmd_batch_apply_seconds", &[], sw.elapsed_ns());
         mcm_obs::observe_ns("mcmd_batch_size", &[], batch.len() as u64);
         seq += 1;
+        let sw = mcm_obs::Stopwatch::new();
         shared.published.store(Arc::new(Published { seq, snap: engine.snapshot() }));
+        mcm_obs::observe_ns("mcmd_batch_publish_seconds", &[], sw.elapsed_ns());
         batch.clear();
     }
-    for ack in syncs.drain(..) {
-        ack.send(SyncAck { seq, cardinality: engine.cardinality() }).ok();
+    for barrier in barriers.drain(..) {
+        match barrier {
+            Barrier::Sync(ack) => {
+                ack.send(SyncAck { seq, cardinality: engine.cardinality() }).ok();
+            }
+            Barrier::Snapshot(ack) => {
+                ack.send(engine.edges()).ok();
+            }
+        }
     }
     seq
 }
@@ -668,12 +726,17 @@ fn handle_line(
                 Command::Insert(_, _, w) => WUpdate::Insert(r, c, w.unwrap_or(1.0)),
                 _ => WUpdate::Delete(r, c),
             };
-            // Count the admission *before* sending: the writer may
-            // absorb (and decrement) the instant the send lands.
+            // Count the admission *before* sending: the writer may close
+            // a batch holding it (and subtract it) the instant the send
+            // lands. The update that brings the count to the size
+            // watermark has filled the open batch and wakes the writer.
             let d = shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
             match tx.try_send(WriterMsg::Update(u)) {
                 Ok(()) => {
-                    mcm_obs::gauge_set("mcmd_queue_depth", &[], d as f64);
+                    shared.set_queue_gauge(d);
+                    if d >= shared.max_batch {
+                        shared.wake_writer();
+                    }
                     writeln!(out, "ok").ok();
                 }
                 Err(TrySendError::Full(_)) => {
@@ -722,23 +785,8 @@ fn handle_line(
             Flow::Continue
         }
         Command::Sync => {
-            let (ack_tx, ack_rx) = mpsc::channel();
-            match tx.try_send(WriterMsg::Sync(ack_tx)) {
-                Ok(()) => match ack_rx.recv() {
-                    Ok(a) => {
-                        writeln!(out, "synced seq {} cardinality {}", a.seq, a.cardinality).ok();
-                    }
-                    Err(_) => {
-                        writeln!(out, "error daemon shutting down").ok();
-                    }
-                },
-                Err(TrySendError::Full(_)) => {
-                    mcm_obs::counter_add("mcmd_busy_total", &[("verb", verb)], 1);
-                    writeln!(out, "busy").ok();
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    writeln!(out, "error daemon shutting down").ok();
-                }
+            if let Some(a) = send_barrier(out, shared, tx, verb, Barrier::Sync) {
+                writeln!(out, "synced seq {} cardinality {}", a.seq, a.cardinality).ok();
             }
             Flow::Continue
         }
@@ -746,10 +794,10 @@ fn handle_line(
             let p = shared.published();
             let line = match &p.snap {
                 Snap::Card(s) => {
-                    format_stats_line(&s.stats, s.cardinality, s.nnz(), s.epoch(), shared.algo_name)
+                    format_stats_line(&s.stats, s.cardinality, s.nnz, s.epoch, shared.algo_name)
                 }
                 Snap::Weighted(s) => {
-                    format_wstats_line(&s.stats, s.cardinality, s.weight, s.nnz(), s.epoch())
+                    format_wstats_line(&s.stats, s.cardinality, s.weight, s.nnz, s.epoch)
                 }
             };
             writeln!(out, "{line}").ok();
@@ -761,23 +809,19 @@ fn handle_line(
             Flow::Continue
         }
         Command::Snapshot(path) => {
-            let p = shared.published();
-            let written = match &p.snap {
-                Snap::Card(s) => write_matrix_market_file(&s.graph.to_triples(), &path),
-                Snap::Weighted(s) => write_matrix_market_weighted_file(
-                    s.graph.nrows(),
-                    s.graph.ncols(),
-                    &s.graph.to_weighted_triples(),
-                    &path,
-                ),
-            };
-            match written {
-                Ok(()) => {
-                    writeln!(out, "snapshot {} nnz {}", path, p.snap.nnz()).ok();
-                }
-                Err(e) => {
-                    writeln!(out, "error {path}: {e}").ok();
-                }
+            if let Some(edges) = send_barrier(out, shared, tx, verb, Barrier::Snapshot) {
+                // The writer only copied the edges; the file is written
+                // here, off the writer thread.
+                let (written, nnz) = match &edges {
+                    Edges::Card(t) => (write_matrix_market_file(t, &path), t.len()),
+                    Edges::Weighted(e) => {
+                        (write_matrix_market_weighted_file(n1, n2, e, &path), e.len())
+                    }
+                };
+                match written {
+                    Ok(()) => writeln!(out, "snapshot {path} nnz {nnz}").ok(),
+                    Err(e) => writeln!(out, "error {path}: {e}").ok(),
+                };
             }
             Flow::Continue
         }
@@ -791,6 +835,35 @@ fn handle_line(
         }
     };
     finish_request(out, hists, verb, sw, flow)
+}
+
+/// Sends a barrier through the admission queue and waits for the
+/// writer's ack. On a full queue answers `busy`, and once the writer is
+/// gone an error; `None` means that answer has been written.
+fn send_barrier<A>(
+    out: &mut impl Write,
+    shared: &Shared,
+    tx: &SyncSender<WriterMsg>,
+    verb: &'static str,
+    make: impl FnOnce(mpsc::Sender<A>) -> Barrier,
+) -> Option<A> {
+    let (ack_tx, ack_rx) = mpsc::channel();
+    let refusal = match tx.try_send(WriterMsg::Barrier(make(ack_tx))) {
+        Ok(()) => {
+            shared.wake_writer();
+            match ack_rx.recv() {
+                Ok(ack) => return Some(ack),
+                Err(_) => "error daemon shutting down",
+            }
+        }
+        Err(TrySendError::Full(_)) => {
+            mcm_obs::counter_add("mcmd_busy_total", &[("verb", verb)], 1);
+            "busy"
+        }
+        Err(TrySendError::Disconnected(_)) => "error daemon shutting down",
+    };
+    writeln!(out, "{refusal}").ok();
+    None
 }
 
 fn finish_request(

@@ -158,6 +158,7 @@ impl<T> SwapCell<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     #[test]
     fn load_returns_what_was_stored() {
@@ -202,8 +203,11 @@ mod tests {
     fn hammer_concurrent_readers_see_monotonic_sequence() {
         // One writer publishes 0..N in order; readers assert they never
         // observe the sequence going backwards and never touch freed
-        // memory (the payload validates itself).
+        // memory (the payload validates itself). Every reader completes
+        // one load before the writer starts storing, so the readers
+        // cannot all be scheduled only after the last store.
         const N: usize = 4000;
+        const READERS: usize = 4;
         struct Payload {
             seq: usize,
             check: usize,
@@ -211,23 +215,39 @@ mod tests {
         let cell = Arc::new(SwapCell::new(Arc::new(Payload { seq: 0, check: !0 })));
         let stop = Arc::new(AtomicBool::new(false));
         let reads = Arc::new(AtomicUsize::new(0));
-        let readers: Vec<_> = (0..4)
+        let started = Arc::new(AtomicUsize::new(0));
+        let go = Arc::new(Barrier::new(READERS + 1));
+        let readers: Vec<_> = (0..READERS)
             .map(|_| {
                 let cell = cell.clone();
                 let stop = stop.clone();
                 let reads = reads.clone();
+                let started = started.clone();
+                let go = go.clone();
                 std::thread::spawn(move || {
                     let mut last = 0usize;
-                    while !stop.load(Ordering::Relaxed) {
+                    let mut read_once = || {
                         let p = cell.load();
                         assert_eq!(p.seq ^ p.check, !0, "torn or freed payload");
                         assert!(p.seq >= last, "sequence went backwards: {} < {last}", p.seq);
                         last = p.seq;
                         reads.fetch_add(1, Ordering::Relaxed);
+                    };
+                    read_once();
+                    started.fetch_add(1, Ordering::Relaxed);
+                    go.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        read_once();
                     }
                 })
             })
             .collect();
+        go.wait();
+        assert_eq!(
+            started.load(Ordering::Relaxed),
+            READERS,
+            "every reader loads before the stores"
+        );
         for i in 1..=N {
             cell.store(Arc::new(Payload { seq: i, check: i ^ !0 }));
         }

@@ -13,9 +13,11 @@
 //!   `mcm-serve` (DESIGN.md §16). A worker thread per connection admits
 //!   updates through a bounded queue (`busy` backpressure) into a single
 //!   writer thread that batches at size/latency watermarks, while
-//!   `query`/`state`/`stats`/`snapshot` answer from an epoch-published
-//!   snapshot and never block behind a repair. `quit` closes one
-//!   connection; `shutdown` drains and stops the daemon.
+//!   `query`/`state`/`stats` answer from the published scalars and never
+//!   block behind a repair. Publication copies no graph: `snapshot` is a
+//!   barrier like `sync`, so in both modes it writes every update
+//!   admitted before it. `quit` closes one connection; `shutdown` drains
+//!   and stops the daemon.
 //!
 //! ```text
 //! insert <row> <col>      stage (stdin) / admit (socket) an edge insertion
@@ -25,7 +27,7 @@
 //! sync                    barrier; print "synced seq <s> cardinality <c>"
 //! stats                   print cumulative engine counters
 //! metrics                 dump the Prometheus registry ("# EOF" ends it)
-//! snapshot <path>         write the graph as Matrix Market
+//! snapshot <path>         barrier; write the graph as Matrix Market
 //! quit                    end the session (stdin: exit; socket: this connection)
 //! shutdown                stop the daemon after draining admitted updates
 //! ```

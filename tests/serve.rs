@@ -1,10 +1,13 @@
 //! Integration tests for the `mcm-serve` socket daemon: concurrency
-//! equivalence, snapshot isolation, backpressure, framing at the edges,
-//! and graceful shutdown. All sockets are loopback; every wait is a
-//! timed channel or a bounded poll — no bare sleeps as assertions.
+//! equivalence, snapshot isolation, the `snapshot` barrier,
+//! backpressure, framing at the edges, and graceful shutdown. All
+//! sockets are loopback; every wait is a timed channel or a bounded
+//! poll — no bare sleeps as assertions.
 
 use mcm_dyn::{DynMatching, DynOptions, Update, WDynMatching, WDynOptions, WUpdate};
 use mcm_serve::{ApplyHook, Server, ServerConfig};
+use mcm_sparse::io::{read_matrix_market_file, read_matrix_market_weighted_file};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
@@ -69,8 +72,17 @@ impl Client {
 }
 
 fn start(n: usize, cfg: ServerConfig) -> Server {
-    let dm = DynMatching::new(n, n, DynOptions::default());
-    Server::start(dm, cfg).expect("server start")
+    start_engine(false, n, cfg)
+}
+
+/// A daemon over an empty n×n graph, cardinality or weighted.
+fn start_engine(weighted: bool, n: usize, cfg: ServerConfig) -> Server {
+    if weighted {
+        Server::start_weighted(WDynMatching::new(n, n, WDynOptions::default()), cfg)
+    } else {
+        Server::start(DynMatching::new(n, n, DynOptions::default()), cfg)
+    }
+    .expect("server start")
 }
 
 /// N interleaved clients inserting disjoint row ranges must leave the
@@ -399,4 +411,166 @@ fn card_daemon_rejects_weighted_inserts() {
     assert!(resp.starts_with("synced "), "{resp}");
     assert_eq!(c.roundtrip("query"), "matching 1");
     server.shutdown();
+}
+
+fn snapshot_path(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("mcm-serve-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{}-{name}", std::process::id()))
+}
+
+/// The edges of a written snapshot, with their weights (1.0 for a
+/// cardinality snapshot).
+fn read_snapshot(weighted: bool, path: &std::path::Path) -> BTreeMap<(u32, u32), f64> {
+    if weighted {
+        let w = read_matrix_market_weighted_file(path).expect("read weighted snapshot");
+        w.to_weighted_triples().into_iter().map(|(r, c, x)| ((r, c), x)).collect()
+    } else {
+        let t = read_matrix_market_file(path).expect("read snapshot");
+        t.entries().iter().map(|&(r, c)| ((r, c), 1.0)).collect()
+    }
+}
+
+/// The value after `key` in a response line such as `state ... nnz 5`.
+fn field(line: &str, key: &str) -> usize {
+    let mut toks = line.split_whitespace();
+    toks.find(|t| *t == key);
+    toks.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no {key} in {line:?}"))
+}
+
+/// `snapshot` is a writer barrier: updates admitted before it, with no
+/// `sync` in between, are all in the written file. The open batch's
+/// latency watermark is long, so without the barrier they would still
+/// be queued when the file is written.
+fn snapshot_holds_every_admitted_update(weighted: bool) {
+    let n = 32u32;
+    let cfg = ServerConfig { max_delay: Duration::from_millis(500), ..ServerConfig::default() };
+    let server = start_engine(weighted, n as usize, cfg);
+    let mut c = Client::connect(server.local_addr());
+    let mut want = BTreeMap::new();
+    for i in 0..n {
+        for (col, w) in [(i, f64::from(i + 2)), ((i + 1) % n, 1.0)] {
+            let line = if weighted {
+                format!("insert {i} {col} {w}")
+            } else {
+                format!("insert {i} {col}")
+            };
+            assert_eq!(c.update_retrying(&line), "ok");
+            want.insert((i, col), if weighted { w } else { 1.0 });
+        }
+    }
+    let path = snapshot_path(if weighted { "barrier-w.mtx" } else { "barrier.mtx" });
+    let resp = c.update_retrying(&format!("snapshot {}", path.display()));
+    assert_eq!(resp, format!("snapshot {} nnz {}", path.display(), want.len()));
+    let st = c.roundtrip("state");
+    assert_eq!(field(&st, "nnz"), want.len(), "{st}");
+    assert_eq!(field(&st, "cardinality"), n as usize, "{st}");
+    let got = read_snapshot(weighted, &path);
+    assert_eq!(got.len(), field(&st, "nnz"), "file and state disagree on nnz");
+    assert_eq!(got, want, "the snapshot file must hold every admitted update");
+    server.shutdown();
+}
+
+#[test]
+fn snapshot_without_sync_holds_every_admitted_update() {
+    snapshot_holds_every_admitted_update(false);
+}
+
+#[test]
+fn weighted_snapshot_without_sync_holds_every_admitted_update() {
+    snapshot_holds_every_admitted_update(true);
+}
+
+/// A `snapshot` issued while a batch is held mid-apply answers only
+/// after the hold is released, and its file contains that batch; reads
+/// issued meanwhile still answer from the pre-batch state.
+fn snapshot_waits_for_the_held_batch(weighted: bool) {
+    let (applying_tx, applying_rx) = mpsc::channel::<usize>();
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let applying_tx = Mutex::new(applying_tx);
+    let gate_rx = Mutex::new(gate_rx);
+    let hook: ApplyHook = Arc::new(move |batch: &[WUpdate]| {
+        applying_tx.lock().unwrap().send(batch.len()).ok();
+        gate_rx.lock().unwrap().recv().ok();
+    });
+    let cfg = ServerConfig { on_apply: Some(hook), ..ServerConfig::default() };
+    let server = start_engine(weighted, 16, cfg);
+    let addr = server.local_addr();
+
+    let mut writer_conn = Client::connect(addr);
+    let insert = if weighted { "insert 3 5 2.5" } else { "insert 3 5" };
+    assert_eq!(writer_conn.roundtrip(insert), "ok");
+    let held =
+        applying_rx.recv_timeout(Duration::from_secs(5)).expect("writer never opened the batch");
+    assert_eq!(held, 1);
+
+    let path = snapshot_path(if weighted { "held-w.mtx" } else { "held.mtx" });
+    let (res_tx, res_rx) = mpsc::channel::<String>();
+    let line = format!("snapshot {}", path.display());
+    std::thread::spawn(move || {
+        res_tx.send(Client::connect(addr).roundtrip(&line)).ok();
+    });
+    // The snapshot is queued behind the held batch; it cannot answer
+    // until the writer is released. A read still answers meanwhile.
+    assert!(
+        matches!(
+            res_rx.recv_timeout(Duration::from_millis(200)),
+            Err(mpsc::RecvTimeoutError::Timeout)
+        ),
+        "snapshot answered while its batch was still held"
+    );
+    let q = Client::connect(addr).roundtrip("query");
+    assert!(q.starts_with("matching 0"), "a read behind a pending snapshot must not wait: {q}");
+
+    drop(gate_tx);
+    let resp = res_rx.recv_timeout(Duration::from_secs(5)).expect("snapshot never answered");
+    assert_eq!(resp, format!("snapshot {} nnz 1", path.display()));
+    let got = read_snapshot(weighted, &path);
+    let w = if weighted { 2.5 } else { 1.0 };
+    assert_eq!(got, BTreeMap::from([((3, 5), w)]), "the snapshot must contain the held batch");
+    assert!(writer_conn.roundtrip("state").starts_with("state seq 1 "));
+    server.shutdown();
+}
+
+#[test]
+fn snapshot_mid_batch_answers_after_the_batch() {
+    snapshot_waits_for_the_held_batch(false);
+}
+
+#[test]
+fn weighted_snapshot_mid_batch_answers_after_the_batch() {
+    snapshot_waits_for_the_held_batch(true);
+}
+
+/// The size watermark closes a batch without waiting out the latency
+/// watermark, and shutdown does not wait it out either: with a
+/// one-minute linger, a full batch applies at once and a partial one is
+/// drained promptly.
+#[test]
+fn full_batch_and_shutdown_do_not_wait_for_the_linger() {
+    let cfg = ServerConfig {
+        max_batch: 4,
+        max_delay: Duration::from_secs(60),
+        ..ServerConfig::default()
+    };
+    let server = start(16, cfg);
+    let mut c = Client::connect(server.local_addr());
+    for i in 0..4 {
+        assert_eq!(c.update_retrying(&format!("insert {i} {i}")), "ok");
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let st = c.roundtrip("state");
+        if st.starts_with("state seq 1 ") {
+            assert!(st.contains(" cardinality 4 "), "{st}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "a full batch waited for the linger: {st}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(c.update_retrying("insert 5 5"), "ok");
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || done_tx.send(server.shutdown().expect_card()).ok());
+    let dm = done_rx.recv_timeout(Duration::from_secs(10)).expect("shutdown waited for the linger");
+    assert_eq!(dm.cardinality(), 5, "shutdown must drain the open batch");
 }
